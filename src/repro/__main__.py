@@ -640,8 +640,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--snapshot-every", type=int, default=16, metavar="N",
-        help="supervised: auto-snapshot resident state every N requests "
-        "(edits always snapshot; default 16)",
+        help="supervised: auto-snapshot resident state every N requests, "
+        "if it changed since the last write (edits always snapshot; "
+        "default 16)",
     )
     p_serve.add_argument(
         "--max-pending", type=int, default=64, metavar="N",

@@ -39,6 +39,7 @@ from repro.analysis.sparse import run_sparse
 from repro.checkers.overrun import AccessReport, check_overruns
 from repro.domains.absloc import AbsLoc, VarLoc
 from repro.domains.interval import Interval
+from repro.domains.octagon import Octagon
 from repro.domains.value import AbsValue
 from repro.frontend.errors import DiagnosticBag
 from repro.ir.program import Program, build_program
@@ -63,7 +64,9 @@ class AnalysisRun:
     *defined* (Lemma 1's scope) — queries at arbitrary points therefore
     walk backward to the reaching definitions: the value at ``c`` is the
     join of the nearest ancestor states that carry the location (values
-    flow unchanged along definition-free paths).
+    flow unchanged along definition-free paths). Octagon packs are
+    ⊤-default, so their walk stops at the pack's D̂ sites instead
+    (:meth:`_pack_at`).
 
     ``diagnostics`` records what the resilience runtime did: degraded
     procedures, the fallback engine used (if any), timings and iteration
@@ -137,6 +140,48 @@ class AnalysisRun:
         self._lookup_cache[cache_key] = found
         return found
 
+    def _pack_at(self, nid: int, pack) -> object | None:
+        """The octagon of ``pack`` at ``nid``, ``None`` for ⊤. Pack states
+        are ⊤-default, so a present state without the pack is ⊤ — never
+        "not defined here". A dense table holds every reachable point's
+        state; a sparse one only what each point defines (D̂), so the
+        value is the join of the definitions reaching ``nid``; that walk
+        is memoized alongside :meth:`_reaching_lookup`."""
+        table = self.result.table
+        if self.result.deps is None:
+            state = table.get(nid)
+            if state is None:
+                return Octagon.bottom(len(pack))  # unreachable
+            return state.get(pack) if pack in state else None
+        cache_key = (nid, pack)
+        hit = self._lookup_cache.get(cache_key, _MISS)
+        if hit is not _MISS:
+            return hit
+        defines = self.result.defuse.d
+        preds = self.result.graph.preds
+        found = None
+        seen = {nid}
+        frontier = [nid]
+        while frontier:
+            node = frontier.pop()
+            if pack in defines(node):
+                state = table.get(node)
+                if state is None:
+                    continue  # unreachable definition: contributes ⊥
+                if pack not in state:
+                    found = None  # defined as ⊤ here: the join is ⊤
+                    break
+                value = state.get(pack)
+                found = value if found is None else found.join(value)
+                continue  # the definition shadows anything above
+            for p in preds.get(node, ()):
+                if p not in seen:
+                    seen.add(p)
+                    frontier.append(p)
+        # None when no definition reaches: ⊤ is the sound answer
+        self._lookup_cache[cache_key] = found
+        return found
+
     def value_at(self, nid: int, loc: AbsLoc) -> AbsValue:
         """Abstract value of ``loc`` at control point ``nid`` (interval
         domain only)."""
@@ -156,11 +201,7 @@ class AnalysisRun:
         ctx = RelContext(self.program, self.pre, self.result.packs)
         out = Interval.top()
         for pack in ctx.packs.packs_of(loc):
-            state = self.result.table.get(nid)
-            if state is not None and pack in state:
-                oct_ = state.get(pack)
-            else:
-                oct_ = self._reaching_lookup(nid, pack)
+            oct_ = self._pack_at(nid, pack)
             if oct_ is not None:
                 out = out.meet(oct_.project(pack.index(loc)))
         return out

@@ -108,10 +108,6 @@ class ResidentAnalysis:
             self.cone_cache[nid] = hit
         return hit
 
-    def mark_table_changed(self) -> None:
-        self.facade = None
-        self.bytes_cache = None
-
     def approx_bytes(self) -> int:
         """Resident footprint estimate: the wire-encoded size of every
         table cell (backend-independent, and exactly what a snapshot of
@@ -165,6 +161,10 @@ class ServeSession:
         self.max_resident_bytes = max_resident_bytes
         self.telemetry = Telemetry.coerce(telemetry)
         self.generation = 0
+        #: bumped by :meth:`_mark_changed` on every change to what
+        #: :meth:`snapshot` would write (residents, tables, solved sets,
+        #: source, generation) — equal versions mean identical payloads
+        self.state_version = 0
         self.shutdown_requested = False
         self._use_clock = 0
         self.counters = {
@@ -175,6 +175,7 @@ class ServeSession:
             "edits": 0,
             "evictions": 0,
             "snapshots": 0,
+            "snapshots_skipped": 0,
         }
         #: stats of the most recent engine run (None for pure table reads)
         self.last_stats: FixpointStats | None = None
@@ -291,9 +292,19 @@ class ServeSession:
         if res is None:
             res = ResidentAnalysis(domain, mode, self._prepare(domain, mode))
             self.residents[key] = res
+            self._mark_changed()
         self._use_clock += 1
         res.last_used = self._use_clock
         return res
+
+    def _mark_changed(self, res: ResidentAnalysis | None = None) -> None:
+        """Record a change to the snapshot payload: bump
+        :attr:`state_version` and, when ``res``'s table or solved set
+        changed, drop its facade memo and byte estimate."""
+        self.state_version += 1
+        if res is not None:
+            res.facade = None
+            res.bytes_cache = None
 
     # -- memory-pressure degradation -------------------------------------------
 
@@ -317,6 +328,7 @@ class ServeSession:
             )
             total -= res.approx_bytes()
             del self.residents[key]
+            self._mark_changed()
             evicted.append("/".join(key))
             self.counters["evictions"] += 1
             self.telemetry.count("serve.evictions")
@@ -342,7 +354,7 @@ class ServeSession:
         )
         res.table = table
         res.solved = set(res.plan.node_ids)
-        res.mark_table_changed()
+        self._mark_changed(res)
         self.last_stats = stats
 
     def _ensure_solved(self, res: ResidentAnalysis, need: frozenset[int]) -> str:
@@ -377,7 +389,7 @@ class ServeSession:
                 else:
                     res.table.pop(nid, None)
             res.solved |= pending
-            res.mark_table_changed()
+            self._mark_changed(res)
             self.last_stats = stats
             return "cone"
         self._solve_globally(res)
@@ -619,6 +631,7 @@ class ServeSession:
             self.program = new_program
             self.pre = new_pre
             self.generation += 1
+            self._mark_changed()
             self.counters["edits"] += 1
             self.telemetry.count("edit.edits")
             per_resident: dict[str, dict] = {}
@@ -631,7 +644,7 @@ class ServeSession:
                 res.table = table
                 res.solved = solved
                 res.cone_cache.clear()
-                res.mark_table_changed()
+                self._mark_changed(res)
                 per_resident["/".join(key)] = {
                     "retained": len(solved),
                     "seed_dirty": n_dirty,
@@ -707,7 +720,7 @@ class ServeSession:
             }
             res.solved = set(wire["solved"])
             res.cone_cache.clear()
-            res.mark_table_changed()
+            self._mark_changed(res)
             restored.append(key)
         return {"path": path, "residents": sorted(restored)}
 

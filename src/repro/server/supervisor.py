@@ -7,8 +7,11 @@
   pipe pair. It writes a heartbeat file around every request, records
   every acked ``edit``'s post-edit source durably *before* replying
   (``serve-source.ckpt``, PR 5 codec), and auto-snapshots the resident
-  tables every ``snapshot_every`` requests and after every edit
-  (``serve-resident.ckpt``);
+  tables (``serve-resident.ckpt``) after every edit and every
+  ``snapshot_every`` requests, if the resident state changed since the
+  last write — an unchanged :attr:`ServeSession.state_version` skips the
+  encode, hash and fsync (``stats`` counts ``snapshots`` written and
+  ``snapshots_skipped``);
 * a **supervisor** parent that forwards client requests to the worker and
   watches it: a worker that exits, is killed, blows the per-request hard
   ``request_deadline`` (a watchdog SIGKILL, *not* the cooperative
@@ -88,8 +91,9 @@ class SupervisorConfig:
     #: how long a fresh worker may take to report ready (loading a large
     #: program + snapshot restore happen here)
     startup_timeout: float = 300.0
-    #: auto-snapshot the resident tables every N requests (0 disables the
-    #: periodic cadence; edits always snapshot)
+    #: auto-snapshot the resident tables every N requests, if the resident
+    #: state changed since the last write (0 disables the periodic
+    #: cadence; edits always snapshot)
     snapshot_every: int = 16
     #: admission-control cap on queued-but-unserved requests
     max_pending: int = 64
@@ -207,12 +211,20 @@ def _worker_main(
     max_request_bytes = int(spec.get("max_request_bytes") or MAX_REQUEST_BYTES)
     n_requests = 0
     n_edits = 0
+    # ``session.state_version`` at the last successful auto-snapshot
+    written_version: int | None = None
 
     def snapshot_now() -> None:
+        nonlocal written_version
+        version = session.state_version
+        if version == written_version:
+            session.counters["snapshots_skipped"] += 1
+            return
         try:
             session.snapshot(resident_path)
         except Exception:  # noqa: BLE001 - snapshots are best-effort cache
-            pass
+            return  # the next cadence point retries
+        written_version = version
 
     while True:
         try:

@@ -1,7 +1,10 @@
 """AnalysisRun query semantics: reaching-definition lookups over sparse
-tables, and state truthiness hardening."""
+tables, octagon pack reads, and state truthiness hardening."""
 
-from repro.api import analyze
+import pytest
+
+from repro.api import analyze, serve_session
+from repro.bench.codegen import generate_source, octagon_suite
 from repro.domains.absloc import VarLoc
 from repro.domains.interval import Interval
 from repro.domains.state import AbsState
@@ -85,3 +88,31 @@ class TestReachingLookup:
         run = analyze(src, domain="octagon")
         exit_itv = run.interval_at_exit("main", "a")
         assert exit_itv.contains(2) and exit_itv.contains(8)
+
+
+class TestOctagonPackReads:
+    """Pack states are ⊤-default: a state without a pack says nothing
+    about it, so a read must not walk past it to an older definition."""
+
+    @pytest.fixture(scope="class")
+    def gzip_oct(self):
+        from repro.ir.interp import Interpreter
+        from repro.ir.program import build_program
+
+        spec = next(s for s in octagon_suite() if s.name == "gzip-oct")
+        src = generate_source(spec)
+        concrete = Interpreter(
+            build_program(src), fuel=2_000_000, record=False
+        ).run()
+        return src, concrete
+
+    @pytest.mark.parametrize("mode", ["vanilla", "base", "sparse"])
+    def test_exit_interval_contains_the_concrete_return(self, gzip_oct, mode):
+        # regression: every mode answered [0, 0] for acc while main()
+        # concretely returns 431
+        src, concrete = gzip_oct
+        assert concrete == 431
+        run = analyze(src, domain="octagon", mode=mode)
+        assert run.interval_at_exit("main", "acc").contains(concrete)
+        served = serve_session(src, domain="octagon", mode=mode)
+        assert served.query_interval("main", "acc").interval.contains(concrete)
