@@ -76,7 +76,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "inline": args.inline,
         "scheduler": args.scheduler,
         "strict_frontend": args.strict_frontend,
-        "jobs": args.jobs,
     }
     if args.narrow:
         options["narrowing_passes"] = args.narrow
@@ -169,7 +168,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                       f"hits ({100 * sched.join_cache_hit_rate:.0f}%)")
 
     if args.domain == "interval":
-        for name in args.check:
+        for name in args.check or ["overrun"]:
             reports = run_checker(name, run.program, run.result, telemetry=tel)
             printed = set()
             print(f"\n== {name} ({len(reports)} checks) ==")
@@ -191,7 +190,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 if clusters:
                     print()
                     print(triage_summary(clusters))
-    elif args.check and args.check != ["overrun"]:
+    elif args.check:
         print("checkers need --domain interval", file=sys.stderr)
         return EXIT_ERROR
 
@@ -402,7 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         action="append",
         choices=["overrun", "divzero", "nullderef"],
         default=None,
-        help="client checker to run (repeatable; default: overrun)",
+        help="client checker to run (repeatable; default: overrun with "
+        "--domain interval, none otherwise)",
     )
     p_analyze.add_argument(
         "--query",
@@ -411,12 +411,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print a variable's interval at a procedure exit (repeatable)",
     )
     p_analyze.add_argument("--stats", action="store_true")
-    p_analyze.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="solve the whole-program fixpoint over SCC shards with N "
-        "worker processes (N > 1; tables are byte-identical to the "
-        "sequential engines)",
-    )
     p_analyze.add_argument(
         "--metrics", action="store_true",
         help="print a Table-2-style per-phase report (frontend, "
@@ -680,8 +674,6 @@ def main(argv: list[str] | None = None) -> int:
     ):
         argv = ["analyze", *argv]
     args = parser.parse_args(argv)
-    if getattr(args, "check", None) is None and args.command == "analyze":
-        args.check = ["overrun"]
     try:
         if os.environ.get("REPRO_INTERNAL_CRASH"):
             raise RuntimeError("injected internal crash (REPRO_INTERNAL_CRASH)")
@@ -697,8 +689,8 @@ def main(argv: list[str] | None = None) -> int:
         print(_one_line_diagnostic(exc), file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:
-        # Option conflicts (e.g. --jobs with an incompatible knob) are user
-        # errors, not internal bugs.
+        # Option values the library rejects are user errors, not internal
+        # bugs.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception:

@@ -133,11 +133,11 @@ class EnginePlan:
     """Everything a fixpoint run needs, separated from the engine that will
     execute it. Each ``prepare_*`` function (here and in ``sparse.py`` /
     ``relational.py``) builds one plan per engine×domain combo; the
-    sequential ``run_*`` drivers and the SCC-sharded driver
-    (:mod:`repro.analysis.shards`) then instantiate spaces and engines from
-    the *same* plan — identical graphs, transfers, WTO priorities, widening
-    points, and thresholds — which is what makes the sharded fixpoint
-    comparable to the sequential one structure for structure."""
+    ``run_*`` drivers and serve's incremental re-solve
+    (:mod:`repro.analysis.incremental`) then instantiate spaces and engines
+    from the *same* plan — identical graphs, transfers, WTO priorities,
+    widening points, and thresholds — which is what makes a served answer
+    comparable to a fresh ``analyze()`` structure for structure."""
 
     program: Program
     pre: PreAnalysis
@@ -182,9 +182,9 @@ class EnginePlan:
         return self.make_edge_transform(get_table)
 
     def make_program_space(self, get_table=None):
-        """The whole-program propagation space this plan describes (shard
-        spaces are built by :mod:`repro.analysis.shards` from the same
-        ingredients)."""
+        """The whole-program propagation space this plan describes (serve's
+        cone solve wraps it in an :class:`~repro.analysis.incremental.ConeSpace`
+        membrane)."""
         if self.sparse:
             return DepGraphSpace(
                 self.deps,

@@ -133,9 +133,6 @@ class FixpointResult:
     scheduler_stats: SchedulerStats | None = None
     #: zero-argument bottom-state constructor for out-of-table queries
     bottom: Callable[[], "StateLattice"] = AbsState
-    #: sharded runs: per-procedure entry/exit summaries of the final table
-    #: (see :mod:`repro.analysis.summaries`)
-    summaries: object = None
 
     # -- legacy accessors (pre-unification field names) ------------------------
 
@@ -350,11 +347,11 @@ class CellOps:
         """Rebuild a push cache from final source states — what the
         sequentially accumulated cache converges to, since table states only
         grow during ascent and a join over a monotone history equals the
-        join of its last element. The shard driver uses this to reconstitute
-        a consumer's input cache from a merged global table instead of
-        shipping caches between workers. Default: the assembled input state
-        doubles as the cache (true for :class:`IntervalCells`, whose cache
-        *is* an ``AbsState``)."""
+        join of its last element. Serve's cone solve uses this to
+        reconstitute a consumer's input cache from the retained table
+        instead of keeping caches across edits. Default: the assembled
+        input state doubles as the cache (true for :class:`IntervalCells`,
+        whose cache *is* an ``AbsState``)."""
         return self.assemble(in_edges, table)
 
     def cache_to_wire(self, cache):
@@ -637,7 +634,6 @@ class FixpointEngine:
         scheduler: str = "wto",
         telemetry=None,
         checkpointer=None,
-        ceiling=None,
     ) -> None:
         self.space = space
         self._transfer = transfer
@@ -674,18 +670,6 @@ class FixpointEngine:
         #: optional repro.runtime.checkpoint.Checkpointer writing periodic
         #: and final-abort snapshots of this engine
         self._checkpointer = checkpointer
-        #: priority ceiling: a callable giving the lowest WTO priority that
-        #: is pending *outside* this engine's space (the shard driver's
-        #: partitioned scheduling). The ascending loop stops — leaving the
-        #: rest of the worklist in :attr:`stopped_pending` — as soon as the
-        #: next pop would reach that priority, because the sequential
-        #: priority queue would drain the foreign work first.
-        self._ceiling = ceiling
-        #: worklist left pending by a ceiling stop, in pop order
-        self.stopped_pending: list[int] = []
-        #: highest priority actually popped past the ceiling check — the
-        #: shard driver validates speculative outcomes against it
-        self.max_pop: int = -1
         #: worklist contents to seed from instead of space.seeds() (resume)
         self._resume_pending: list[int] | None = None
         #: node popped but not yet fully processed — an abort snapshot must
@@ -796,21 +780,8 @@ class FixpointEngine:
         work = make_worklist(self._scheduler, self._priority, initial)
         self._work = work
         cp = self._checkpointer
-        self.stopped_pending = []
-        prio = self._priority if self._priority is not None else {}
-        base = len(prio)
         while work:
             nid = work.pop()
-            if self._ceiling is not None:
-                p = prio.get(nid)
-                if p is None:
-                    p = base + nid
-                if p >= self._ceiling():
-                    work.add(nid)
-                    self.stopped_pending = list(work.pending())
-                    break
-                if p > self.max_pop:
-                    self.max_pop = p
             if not space.runnable(nid):
                 continue
             if self._degrade is not None and self._degrade.is_degraded_node(nid):
@@ -895,8 +866,8 @@ class FixpointEngine:
         table: Mapping[int, "StateLattice"],
         growth: Mapping[int, int] | None = None,
     ) -> None:
-        """Seed the engine with an existing table before :meth:`solve` — the
-        shard driver's way of resuming a shard against merged global state.
+        """Seed the engine with an existing table before :meth:`solve` —
+        serve's cone solve warm-starts from the retained resident table.
         Unlike :meth:`restore` this installs only the table (and optionally
         the per-head widening-delay counters); seeding/worklist behavior is
         the space's business."""

@@ -417,7 +417,6 @@ def analyze(
     checkpoint_every: int = 200,
     resume: bool = False,
     strict_frontend: bool = False,
-    jobs: int = 1,
     **options,
 ) -> AnalysisRun:
     """Parse, lower, and analyze C-subset ``source``.
@@ -428,13 +427,6 @@ def analyze(
     underlying engine (``strict``, ``widen``, ``narrowing_passes``,
     ``widening_thresholds``, ``max_iterations``, ``method``, ``bypass``,
     ``scheduler`` — ``"wto"`` or the ``"fifo"`` baseline).
-
-    ``jobs > 1`` routes the run through the SCC-sharded driver
-    (:func:`repro.analysis.shards.run_sharded`) with a process-pool
-    executor — tables are byte-identical to the sequential engines. The
-    sharded driver owns scheduling end to end, so it is incompatible with
-    ``fallback``, checkpointing, fault injection, budgets, and the
-    ``fifo`` scheduler; combining them raises :class:`ValueError`.
 
     Resilience knobs:
 
@@ -507,50 +499,6 @@ def analyze(
         # case of the recovery contract (everything else degrades).
         raise bag.to_error(f"no recoverable functions in {filename}")
     pre = run_preanalysis(program, telemetry=tel)
-
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs > 1:
-        shard_options = dict(options)
-        if shard_options.pop("scheduler", "wto") != "wto":
-            raise ValueError(
-                "jobs > 1 requires the wto scheduler (priority ceilings "
-                "are defined by WTO priorities)"
-            )
-        for knob, active in (
-            ("fallback", bool(fallback)),
-            ("checkpoint_path/resume", checkpoint_path is not None or resume),
-            ("faults", faults is not None),
-            ("budget", budget is not None or budget_seconds is not None),
-            ("max_iterations", "max_iterations" in shard_options),
-            ('on_budget != "fail"', on_budget != "fail"),
-        ):
-            if active:
-                raise ValueError(
-                    f"jobs > 1 is incompatible with {knob} (the sharded "
-                    "driver owns scheduling end to end)"
-                )
-        from repro.analysis.shards import run_sharded
-
-        result = run_sharded(
-            program,
-            pre,
-            domain,
-            mode,
-            jobs=jobs,
-            telemetry=tel,
-            **shard_options,
-        )
-        return AnalysisRun(
-            program,
-            pre,
-            domain,
-            mode,
-            result,
-            result.diagnostics,
-            telemetry=tel,
-            frontend_diagnostics=bag if bag is not None else DiagnosticBag(),
-        )
 
     resolved_budget = Budget.coerce(
         budget,

@@ -5,12 +5,6 @@ are resolved by the flow-insensitive pre-analysis (Section 5: "we use the
 flow-insensitive analysis to prior resolve function pointers"). ``maxSCC``
 — the size of the largest strongly connected component — is the Table 1
 metric the paper correlates with analysis cost.
-
-:meth:`CallGraph.condense` collapses the graph to its SCC DAG — the shard
-structure of the parallel pipeline (``repro.analysis.shards``): every
-control-flow cycle of the interprocedural graph, loop or recursion, lies
-entirely within one SCC, so cross-shard propagation is acyclic in the
-call-graph sense and the SCCs can be scheduled bottom-up by a ready set.
 """
 
 from __future__ import annotations
@@ -24,47 +18,6 @@ from repro.ir.program import Program
 
 
 @dataclass
-class SCCDag:
-    """The call graph condensed to its DAG of strongly connected
-    components.
-
-    Shards (= SCCs) are numbered in *topological* order — callers before
-    callees — so ``range(len(dag))`` is already a bottom-up-compatible
-    processing order and ``succs[s]`` only ever points to shards numbered
-    higher than ``s``. The numbering is deterministic: Tarjan visits
-    procedures in sorted order, so the same program always condenses to the
-    same shard ids.
-    """
-
-    #: shard id → member procedures (sorted names)
-    members: tuple[tuple[str, ...], ...]
-    #: procedure → shard id
-    shard_of: dict[str, int]
-    #: shard id → callee shards (caller→callee orientation, deduplicated)
-    succs: tuple[tuple[int, ...], ...]
-    #: shard id → caller shards
-    preds: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def topo_order(self) -> range:
-        """Shard ids, callers before callees."""
-        return range(len(self.members))
-
-    def ready_set(self, dirty: Iterable[int]) -> list[int]:
-        """The shards from ``dirty`` that are safe to run now: those with no
-        *dirty* caller shard. Running only these avoids re-solving a callee
-        against caller summaries that are themselves about to change; the
-        topologically smallest dirty shard always qualifies, so progress is
-        guaranteed on any non-empty dirty set."""
-        dirty = set(dirty)
-        return sorted(
-            s for s in dirty if not any(p in dirty for p in self.preds[s])
-        )
-
-
-@dataclass
 class CallGraph:
     """Procedure-level call graph with per-site callee sets."""
 
@@ -72,8 +25,8 @@ class CallGraph:
     callers: dict[str, set[str]] = field(default_factory=dict)
     site_callees: dict[int, tuple[str, ...]] = field(default_factory=dict)
     #: memoized :meth:`sccs` result; edge mutations through :meth:`add_call`
-    #: invalidate it (``max_scc_size``/``recursive_procs``/``condense`` all
-    #: reuse one Tarjan run instead of recomputing per call)
+    #: invalidate it (``max_scc_size`` and ``recursive_procs`` reuse one
+    #: Tarjan run instead of recomputing per call)
     _scc_cache: list[list[str]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -164,36 +117,6 @@ class CallGraph:
             elif scc[0] in self.callees.get(scc[0], ()):
                 out.add(scc[0])
         return out
-
-    def condense(self) -> SCCDag:
-        """Condense to the SCC DAG. Tarjan emits components callees-first
-        (reverse topological), so reversing gives the callers-first shard
-        numbering documented on :class:`SCCDag`."""
-        components = list(reversed(self.sccs()))
-        members = tuple(tuple(sorted(scc)) for scc in components)
-        shard_of: dict[str, int] = {}
-        for sid, procs in enumerate(members):
-            for proc in procs:
-                shard_of[proc] = sid
-        succ_sets: list[set[int]] = [set() for _ in members]
-        for caller, callees in self.callees.items():
-            src = shard_of.get(caller)
-            if src is None:
-                continue
-            for callee in callees:
-                dst = shard_of.get(callee)
-                if dst is not None and dst != src:
-                    succ_sets[src].add(dst)
-        pred_sets: list[set[int]] = [set() for _ in members]
-        for src, dsts in enumerate(succ_sets):
-            for dst in dsts:
-                pred_sets[dst].add(src)
-        return SCCDag(
-            members=members,
-            shard_of=shard_of,
-            succs=tuple(tuple(sorted(s)) for s in succ_sets),
-            preds=tuple(tuple(sorted(p)) for p in pred_sets),
-        )
 
 
 def build_callgraph(

@@ -31,7 +31,7 @@ On ``edit`` the new program is built with the recovering frontend (an
 unparseable body quarantines that function behind a havoc stub, exactly
 the PR 6 contract), plans are rebuilt, resident tables are carried across
 via the node correspondence, and *all* program-shape memos — the call
-graph, its SCC memoization, the shard-spec cache — are invalidated by
+graph with its SCC memoization, the variable packing — are invalidated by
 construction: they are keyed by generation and the generation number
 advances before any of them can be consulted again.
 """
@@ -184,7 +184,6 @@ class ServeSession:
         self.residents: dict[tuple[str, str], ResidentAnalysis] = {}
         self._packs_cache: tuple[int, object] | None = None
         self._callgraph_cache: tuple[int, object] | None = None
-        self._scc_dag_cache: tuple[int, object] | None = None
         self.source = ""
         self.program, self.pre = self._build(source)
         self.source = source
@@ -233,16 +232,6 @@ class ServeSession:
                 ),
             )
         return self._callgraph_cache[1]
-
-    def scc_dag(self):
-        """The call graph's SCC condensation (shard spec source), with the
-        same generation-keyed invalidation as :meth:`callgraph`."""
-        if (
-            self._scc_dag_cache is None
-            or self._scc_dag_cache[0] != self.generation
-        ):
-            self._scc_dag_cache = (self.generation, self.callgraph().condense())
-        return self._scc_dag_cache[1]
 
     def _prepare(self, domain: str, mode: str) -> EnginePlan:
         if domain == "interval":

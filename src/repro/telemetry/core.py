@@ -166,28 +166,6 @@ class Telemetry:
             return _NULL_SPAN
         return _SpanHandle(self, Span(name, category=category, attrs=attrs))
 
-    def record_span(
-        self, name: str, wall: float, cpu: float = 0.0,
-        category: str = "phase", **attrs,
-    ) -> None:
-        """Record an already-measured region — e.g. a span timed inside a
-        worker process and shipped back over the wire. The span is attached
-        under the calling thread's currently open span (or as a root) with
-        its start back-dated so trace timelines stay plausible."""
-        if not self.enabled:
-            return
-        span = Span(name, category=category, attrs=attrs)
-        span.tid = threading.get_ident()
-        span.wall = wall
-        span.cpu = cpu
-        span.start = max(0.0, time.perf_counter() - self._epoch - wall)
-        stack = self._stack()
-        with self._lock:
-            if stack:
-                stack[-1].children.append(span)
-            else:
-                self.roots.append(span)
-
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:

@@ -143,53 +143,3 @@ class TestSCCCache:
         cg.invalidate()
         assert cg.sccs() is not first
         assert [set(s) for s in cg.sccs()] == [set(s) for s in first]
-
-
-class TestCondense:
-    def test_chain_numbering_callers_first(self):
-        cg = cg_of(
-            "int g(void) { return 2; }"
-            "int f(void) { return g(); }"
-            "int main(void) { return f(); }"
-        )
-        dag = cg.condense()
-        so = dag.shard_of
-        assert so["__init"] < so["main"] < so["f"] < so["g"]
-        for s in dag.topo_order():
-            assert all(t > s for t in dag.succs[s])
-
-    def test_mutual_recursion_one_shard(self):
-        cg = cg_of(
-            "int odd(int n);"
-            "int even(int n) { if (n == 0) return 1; return odd(n - 1); }"
-            "int odd(int n) { if (n == 0) return 0; return even(n - 1); }"
-            "int main(void) { return even(4); }"
-        )
-        dag = cg.condense()
-        assert dag.shard_of["even"] == dag.shard_of["odd"]
-        assert dag.shard_of["main"] != dag.shard_of["even"]
-        assert ("even", "odd") in dag.members
-
-    def test_ready_set_blocks_dirty_callees(self):
-        cg = cg_of(
-            "int g(void) { return 2; }"
-            "int f(void) { return g(); }"
-            "int main(void) { return f(); }"
-        )
-        dag = cg.condense()
-        everything = set(dag.topo_order())
-        assert dag.ready_set(everything) == [dag.shard_of["__init"]]
-        # with the root clean, its callee shard becomes ready
-        rest = everything - {dag.shard_of["__init"]}
-        assert dag.ready_set(rest) == [dag.shard_of["main"]]
-        assert dag.ready_set([]) == []
-
-    def test_ready_set_independent_siblings_concurrent(self):
-        cg = cg_of(
-            "int a(void) { return 1; }"
-            "int b(void) { return 2; }"
-            "int main(void) { int x; x = a(); return x + b(); }"
-        )
-        dag = cg.condense()
-        dirty = {dag.shard_of["a"], dag.shard_of["b"]}
-        assert dag.ready_set(dirty) == sorted(dirty)

@@ -1,13 +1,13 @@
-"""SCC/shard cache invalidation across edits (satellite 4).
+"""Call-graph and SCC memo invalidation across edits.
 
 ``CallGraph.sccs()`` memoizes its Tarjan run and the serve session memoizes
-the whole call graph and its SCC condensation per generation.  These tests
-pin down the two ways that could go stale:
+the whole call graph per generation.  These tests pin down the two ways
+that could go stale:
 
 * mutating a ``CallGraph`` through ``add_call`` must drop the memo, and
 * a server edit that rewires calls (adds an edge, introduces recursion)
-  must advance the generation so the next ``scc_dag()`` is rebuilt from the
-  post-edit program — a stale SCC DAG after an edit is impossible.
+  must advance the generation so the next ``callgraph()`` is rebuilt from
+  the post-edit program — a stale call graph after an edit is impossible.
 """
 
 from __future__ import annotations
@@ -47,15 +47,15 @@ int main(void) {
 """
 
 
-def fresh_dag(session):
-    """The SCC DAG rebuilt from scratch from the session's current program
-    (the oracle the memoized one must match)."""
+def fresh_sccs(session):
+    """The SCCs rebuilt from scratch from the session's current program
+    (the oracle the memoized ones must match)."""
     pre = session.pre
     graph = build_callgraph(
         session.program,
         resolve=lambda node: pre.site_callees.get(node.nid, ()),
     )
-    return graph.condense()
+    return graph.sccs()
 
 
 def test_add_call_invalidates_scc_memo():
@@ -79,21 +79,20 @@ def test_add_call_invalidates_scc_memo():
     assert graph.max_scc_size() >= 2  # h <-> k cycle now visible
 
 
-def test_call_adding_edit_rebuilds_scc_dag():
+def test_call_adding_edit_rebuilds_callgraph():
     session = ServeSession(SRC, strict=False, widen=False)
-    dag0 = session.scc_dag()
-    assert session.scc_dag() is dag0  # generation-keyed memo
+    graph0 = session.callgraph()
+    assert session.callgraph() is graph0  # generation-keyed memo
 
     # rewire k to call h: a new call edge, same procedures
     session.edit(function="k", body="    int r;\n    r = h(a) * 2;\n    return r;")
-    dag1 = session.scc_dag()
-    assert dag1 is not dag0
-    assert dag1.members == fresh_dag(session).members
-    assert dag1.succs == fresh_dag(session).succs
-    # the new edge is there: k's shard now points at h's shard
-    assert dag1.shard_of["h"] in dag1.succs[dag1.shard_of["k"]]
+    graph1 = session.callgraph()
+    assert graph1 is not graph0
+    assert graph1.sccs() == fresh_sccs(session)
+    # the new edge is there: k now calls h
+    assert "h" in graph1.callees["k"]
     # and it was genuinely absent pre-edit
-    assert dag0.shard_of["h"] not in dag0.succs[dag0.shard_of["k"]]
+    assert "h" not in graph0.callees["k"]
 
 
 def test_recursion_introducing_edit_is_fully_invalidated():
@@ -112,7 +111,7 @@ def test_recursion_introducing_edit_is_fully_invalidated():
     )
     assert info["residents"]["interval/sparse"]["retained"] == 0
     assert {"gg", "h"} <= session.callgraph().recursive_procs()
-    assert session.scc_dag().members == fresh_dag(session).members
+    assert session.callgraph().sccs() == fresh_sccs(session)
 
     fresh = analyze(session.source)
     for proc in ("h", "gg", "f", "k", "main"):
@@ -130,4 +129,4 @@ def test_generation_counter_tracks_edits():
     assert session.generation == 1
     session.edit(function="k", body="    int r;\n    r = a + 1;\n    return r;")
     assert session.generation == 2
-    assert session.scc_dag().members == fresh_dag(session).members
+    assert session.callgraph().sccs() == fresh_sccs(session)

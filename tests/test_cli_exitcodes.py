@@ -99,6 +99,19 @@ class TestExitCodes:
         proc = _run(["analyze", "/nonexistent-file.c"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("checker", ["overrun", "divzero"])
+    def test_explicit_check_under_octagon_exits_2(self, clean_file, checker):
+        proc = _run(
+            ["analyze", clean_file, "--domain", "octagon", "--check", checker]
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "checkers need --domain interval" in proc.stderr
+
+    def test_octagon_without_check_exits_0(self, clean_file):
+        proc = _run(["analyze", clean_file, "--domain", "octagon"])
+        assert proc.returncode == 0, proc.stderr
+        assert "checkers need" not in proc.stderr
+
     def test_internal_crash_exits_3_with_traceback(self, clean_file):
         proc = _run([clean_file], env_extra={"REPRO_INTERNAL_CRASH": "1"})
         assert proc.returncode == 3
