@@ -1,16 +1,13 @@
 """Store-backend perf gate for the array-backed interval states (ISSUE 7).
 
-Three layers, all A/B against the scalar dict reference in the same
+Two layers, both A/B against the scalar dict reference in the same
 process (so the gates are ratios, robust to CI machine speed):
 
 1. **Microbenchmarks** — whole-state ``join_with``/``widen_with``/``leq``/
    ``join_changed`` on randomized states of growing size. Gate: the array
    backend must be ≥ ``MICRO_SPEEDUP_FLOOR``× faster than scalar on the
    largest size for join and widen.
-2. **Octagon closure** — sparsity-preserving vs dense strong closure on
-   mostly-⊤ packs; results are asserted byte-identical and the speedup is
-   reported.
-3. **End-to-end** — ``analyze`` on the largest ``examples/c`` files plus
+2. **End-to-end** — ``analyze`` on the largest ``examples/c`` files plus
    scaled synthetic corpus workloads under both backends. Gate: analysis
    tables must digest identically, and the array/scalar wall-clock ratio
    must not regress by more than ``E2E_TOLERANCE`` against the committed
@@ -43,7 +40,6 @@ from repro.api import analyze  # noqa: E402
 from repro.bench.codegen import default_suite, generate_source  # noqa: E402
 from repro.domains.absloc import VarLoc  # noqa: E402
 from repro.domains.interval import Interval  # noqa: E402
-from repro.domains.octagon import Octagon, set_sparse_closure  # noqa: E402
 from repro.domains.state import (  # noqa: E402
     ArrayAbsState,
     ScalarAbsState,
@@ -132,55 +128,6 @@ def micro_bench(sizes: list[int], reps: int) -> dict:
     return out
 
 
-# -- octagon closure ----------------------------------------------------------
-
-
-def _sparse_pack(dim: int, support: int) -> Octagon:
-    oct_ = Octagon.top(dim)
-    for k in range(support):
-        oct_ = oct_.with_upper(k, 3 * k + 5).with_lower(k, -k)
-        if k:
-            oct_ = oct_.with_diff(k, k - 1, 2)
-    return Octagon(dim, oct_.matrix)  # drop closed_flag: force real closure
-
-
-def octagon_bench(dims: list[int], reps: int) -> tuple[dict, list[str]]:
-    import numpy as np
-
-    out: dict[str, dict] = {}
-    failures: list[str] = []
-    for dim in dims:
-        oct_ = _sparse_pack(dim, support=3)
-        prev = set_sparse_closure(enabled=True)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            sparse = oct_.closed()
-        t_sparse = time.perf_counter() - t0
-        set_sparse_closure(enabled=False)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            dense = oct_.closed()
-        t_dense = time.perf_counter() - t0
-        set_sparse_closure(*prev)
-        if sparse.empty != dense.empty or not np.array_equal(
-            sparse._m(), dense._m()
-        ):
-            failures.append(f"octagon closure divergence at dim={dim}")
-        key = f"octagon/closure/dim={dim}"
-        out[key] = {
-            "dense_s": round(t_dense, 5),
-            "sparse_s": round(t_sparse, 5),
-            "speedup": round(t_dense / t_sparse, 2) if t_sparse else None,
-        }
-        print(
-            f"  {key}: dense={t_dense:.4f}s sparse={t_sparse:.4f}s "
-            f"({out[key]['speedup']}x)",
-            file=sys.stderr,
-            flush=True,
-        )
-    return out, failures
-
-
 # -- end-to-end ---------------------------------------------------------------
 
 
@@ -208,7 +155,7 @@ def _e2e_workloads(quick: bool):
             suite[name], recursion_cycle=0, unique_callees=True
         ).scaled(scale)
         sources.append((f"corpus/{name}x{scale}", generate_source(spec), "interval", "sparse"))
-    # one relational combo: store backend + sparse closure both in play
+    # one relational combo: store backend + pack octagons both in play
     sources.append(
         ("examples/" + examples[0].stem + "/oct", examples[0].read_text(), "octagon", "sparse")
     )
@@ -265,17 +212,14 @@ def main(argv: list[str] | None = None) -> int:
 
     sizes = [64, 256] if args.quick else [64, 256, 1024]
     reps = 30 if args.quick else 60
-    dims = [16, 32] if args.quick else [16, 32, 64]
 
     print("microbenchmarks:", file=sys.stderr)
     micro = micro_bench(sizes, reps)
-    print("octagon closure:", file=sys.stderr)
-    octs, oct_failures = octagon_bench(dims, reps)
     print("end-to-end:", file=sys.stderr)
     e2e, e2e_failures = e2e_bench(args.quick)
 
-    results = {**micro, **octs, **e2e}
-    failures = oct_failures + e2e_failures
+    results = {**micro, **e2e}
+    failures = e2e_failures
 
     # gate 1: digest identity was checked above; gate 2: micro speedup floor
     largest = sizes[-1]

@@ -1,9 +1,16 @@
-"""The octagon abstract domain (Miné, HOSC 2006).
+"""The octagon abstract domain (Miné, HOSC 2006), stored sparsely.
 
 Constraints of the form ``±x ± y ≤ c`` over a fixed, ordered tuple of
-variables, represented as a difference-bound matrix (DBM) over the doubled
+variables, read as a difference-bound matrix (DBM) over the doubled
 variable set: index ``2k`` stands for ``+x_k`` and ``2k+1`` for ``-x_k``;
 entry ``m[i, j]`` bounds ``v_j − v_i ≤ m[i, j]``.
+
+Following Jourdan ("Sparsity Preserving Algorithms for Octagons"), an
+octagon stores only its *finite* entries, as a dict ``{(i, j): bound}``.
+A missing off-diagonal entry is +∞ and a missing diagonal entry is 0, so
+⊤ is the empty dict (one shared instance per dimension) and every
+operation costs time proportional to the constraints it actually holds.
+Pack octagons are almost all ⊤, which is what makes this pay.
 
 Provides the operations the packed relational analysis of Section 4 needs:
 
@@ -14,211 +21,220 @@ Provides the operations the packed relational analysis of Section 4 needs:
   general forget, and comparison tests (``x ⋈ c``, ``x ⋈ y + c``);
 * projection of one variable to an :class:`Interval` (the paper's ``π_x``).
 
-Instances are immutable: every operation returns a fresh octagon. Matrices
-are small (packs are capped at ~10 variables) so numpy ``float64`` with
-``inf`` is precise enough — all constants of the analysis are small ints.
+Instances are immutable: every operation returns a fresh octagon and a
+constraint dict is never mutated once it backs an instance.
+
+Every result is bit-for-bit the one Miné's dense algorithm gives on the
+full matrix, down to the sign of zero bounds (the renderers print cells
+with ``repr``). Minima and maxima therefore break ties towards the
+*second* operand, as numpy's ``minimum``/``maximum`` do: a relaxation or
+strong step takes the new value when ``new <= cur``, ``meet`` keeps the
+left bound only when it is strictly smaller and ``join`` only when it is
+strictly larger.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
 
 from repro.domains.interval import Interval
 
-INF = np.inf
+INF = math.inf
 
-# -- sparsity-preserving closure (Jourdan's observation) ----------------------
-#
-# Pack octagons are mostly ⊤: typically only a few of the pack's variables
-# carry any constraint, and a variable with no finite off-diagonal entry
-# can never tighten anything — Floyd–Warshall relaxation through it and the
-# strong step over its (infinite) unary bounds are both no-ops, and its own
-# entries stay at +∞/0. Restricting closure, leq, join and widen to the
-# *support* (variables with at least one finite off-diagonal entry) is
-# therefore byte-identical to the dense Miné path while cutting the O(n³)
-# closure to O(s³). The dense path remains both a fallback when density
-# crosses the threshold and an oracle for the differential tests.
-
-_SPARSE_ENABLED = os.environ.get("REPRO_OCT_CLOSURE", "").strip().lower() != "dense"
-#: fall back to the dense path once support/dim exceeds this fraction —
-#: near-dense packs gain nothing from gathering a submatrix
-_SPARSE_THRESHOLD = 0.9
+Constraints = dict[tuple[int, int], float]
 
 
-def set_sparse_closure(
-    enabled: bool | None = None, threshold: float | None = None
-) -> tuple[bool, float]:
-    """Toggle the sparsity-preserving octagon paths (A/B + test knob).
-    Returns the previous ``(enabled, threshold)`` pair."""
-    global _SPARSE_ENABLED, _SPARSE_THRESHOLD
-    previous = (_SPARSE_ENABLED, _SPARSE_THRESHOLD)
-    if enabled is not None:
-        _SPARSE_ENABLED = bool(enabled)
-    if threshold is not None:
-        _SPARSE_THRESHOLD = float(threshold)
-    return previous
+def _even_floor(u: float) -> float:
+    """``2·⌊u/2⌋`` as a float, keeping the sign of a zero bound."""
+    return 2.0 * math.floor(u / 2) if u else u
 
 
-def sparse_closure_enabled() -> bool:
-    return _SPARSE_ENABLED
-
-
-def _interleaved_pairs(support: np.ndarray) -> np.ndarray:
-    """DBM indices (2v, 2v+1 interleaved) of the support variables; the
-    interleaving keeps ``i ^ 1`` the negation within the submatrix."""
-    pairs = np.empty(2 * len(support), dtype=np.intp)
-    pairs[0::2] = 2 * support
-    pairs[1::2] = 2 * support + 1
-    return pairs
-
-
-def _neg_index(i: int) -> int:
-    """The index of the negated form: 2k ↔ 2k+1."""
-    return i ^ 1
-
-
-def _tighten_and_strong(m: np.ndarray, n: int, swap: np.ndarray) -> None:
-    """Integer tightening of the unary bounds (m[i, ī] is 2·bound(±x))
-    followed by Miné's strong step, in place."""
-    idx = np.arange(n)
-    unary = m[idx, swap]
-    finite = np.isfinite(unary)
-    unary[finite] = 2 * np.floor(unary[finite] / 2)
-    m[idx, swap] = unary
-    # m[i,j] ← min(m[i,j], (m[i,ī] + m[j̄,j]) / 2); ∞/2 stays ∞.
-    np.minimum(m, (unary[:, None] + unary[swap][None, :]) / 2, out=m)
-
-
-def _strong_closure_rounds(m: np.ndarray, rounds: int) -> bool:
-    """The full strong-closure iteration (Floyd–Warshall relaxation +
-    tightening + strong step until stable), in place. Returns False when
-    the system is infeasible (negative diagonal); on True the diagonal has
-    been reset to 0."""
-    n = m.shape[0]
-    swap = np.arange(n) ^ 1
-    for _round in range(rounds):
-        before = m.copy()
-        # Floyd–Warshall via vectorized relaxation.
-        for k in range(n):
-            np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
-        _tighten_and_strong(m, n, swap)
-        if np.any(np.diag(m) < 0):
-            return False
-        if np.array_equal(m, before):
-            break
-    np.fill_diagonal(m, 0.0)
+def _relax(m: Constraints, diag: dict[int, float], k: int) -> bool:
+    """One Floyd–Warshall step through index ``k``, in place: every
+    ``m[i, j]`` against ``m[i, k] + m[k, j]``, all sums taken from the
+    values before the step. ``diag`` holds the diagonal entries written so
+    far (default 0). Returns False once a diagonal entry goes negative."""
+    dkk = diag.get(k, 0.0)
+    ins = [(k, dkk)]
+    outs = [(k, dkk)]
+    for (i, j), v in m.items():
+        if j == k:
+            ins.append((i, v))
+        elif i == k:
+            outs.append((j, v))
+    if len(ins) == 1 and len(outs) == 1:
+        return True  # only the zero diagonal: 0 + 0 changes nothing
+    for i, a in ins:
+        for j, b in outs:
+            v = a + b
+            if i == j:
+                if v <= diag.get(i, 0.0):
+                    if v < 0:
+                        return False
+                    diag[i] = v
+            else:
+                cur = m.get((i, j))
+                if cur is None or v <= cur:
+                    m[i, j] = v
     return True
 
 
-def _incremental_close(m: np.ndarray, var: int) -> None:
-    """Incremental strong closure after modifying only variable ``var`` of
-    a strongly-closed matrix (Miné's algorithm): relax through the two
-    indices of ``var``, then tighten + strong step. O(n²) instead of the
-    full O(n³) closure."""
-    _close_touched(m, (var,))
+def _tighten_and_strong(m: Constraints, diag: dict[int, float]) -> bool:
+    """Integer tightening of the unary bounds (``m[i, ī]`` is 2·bound(±x))
+    followed by Miné's strong step, in place, over the finite unary bounds
+    only. Returns False on a negative diagonal entry."""
+    unary = {i: _even_floor(v) for (i, j), v in m.items() if j == i ^ 1}
+    if not unary:
+        return True
+    for i, u in unary.items():
+        m[i, i ^ 1] = u
+    # m[i,j] ← min(m[i,j], (m[i,ī] + m[j̄,j]) / 2) where both are finite
+    for i, ui in unary.items():
+        for jbar, uj in unary.items():
+            j = jbar ^ 1
+            v = (ui + uj) / 2
+            if i == j:
+                if v <= diag.get(i, 0.0):
+                    if v < 0:
+                        return False
+                    diag[i] = v
+            else:
+                cur = m.get((i, j))
+                if cur is None or v <= cur:
+                    m[i, j] = v
+    return True
 
 
-def _close_touched(m: np.ndarray, touched: tuple[int, ...]) -> None:
-    """Incremental strong closure when only ``touched`` variables'
-    constraints were modified on a strongly-closed matrix."""
-    n = m.shape[0]
-    swap = np.arange(n) ^ 1
+def _off_diagonal(c: Constraints) -> Constraints | None:
+    """A mutable copy of ``c`` without its diagonal, or None when ``c``
+    stores a diagonal entry: stored diagonal entries are negative, so the
+    system is infeasible."""
+    out = {}
+    for key, v in c.items():
+        if key[0] == key[1]:
+            return None
+        out[key] = v
+    return out
+
+
+def _strong_closure(c: Constraints, dim: int) -> Constraints | None:
+    """The full strong closure: rounds of relaxation through every index
+    that carries a finite entry, then tightening and the strong step, until
+    no bound moves or the round cap is hit. Indices without finite entries
+    are inert in every step, so skipping them changes nothing. Returns
+    None when the system is infeasible."""
+    m = _off_diagonal(c)
+    if m is None:
+        return None
+    support = sorted({i for i, _ in m} | {j for _, j in m})
+    diag: dict[int, float] = {}
+    for _round in range(2 * dim + 2):
+        before = dict(m)
+        for k in support:
+            if not _relax(m, diag, k):
+                return None
+        if not _tighten_and_strong(m, diag):
+            return None
+        # == treats -0.0 and 0.0 as equal, like a dense array comparison
+        if m == before:
+            break
+    return m
+
+
+def _close_touched(m: Constraints, touched: tuple[int, ...]) -> Constraints | None:
+    """Incremental strong closure (Miné's algorithm) when only the
+    ``touched`` variables' constraints changed on a strongly closed
+    system: relax through their indices, then tighten + strong step.
+    Works in place on ``m`` (no diagonal entries) and returns it, or None
+    when the system is infeasible."""
+    diag: dict[int, float] = {}
     for _pass in range(2 if len(touched) > 1 else 1):
         for var in touched:
-            for k in (2 * var, 2 * var + 1):
-                np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
-        _tighten_and_strong(m, n, swap)
+            if not (_relax(m, diag, 2 * var) and _relax(m, diag, 2 * var + 1)):
+                return None
+        if not _tighten_and_strong(m, diag):
+            return None
+    return m
 
 
-@dataclass(frozen=True)
+def _without_var(c: Constraints, k: int) -> Constraints:
+    """The entries of ``c`` that do not mention ``x_k``."""
+    return {key: v for key, v in c.items() if key[0] >> 1 != k and key[1] >> 1 != k}
+
+
+_TOPS: dict[int, "Octagon"] = {}
+_BOTTOMS: dict[int, "Octagon"] = {}
+
+
 class Octagon:
-    """An octagon over ``dim`` variables. ``matrix`` is a DBM; ⊥ is the
-    distinguished ``empty``. ``closed_flag`` records that the matrix is
-    already strongly closed, letting the hot transfer-function paths skip
-    redundant O(n³) closures."""
+    """An octagon over ``dim`` variables. ``constraints`` maps DBM indices
+    ``(i, j)`` to the finite bounds; ⊥ is the distinguished ``empty``.
+    ``closed_flag`` records that the constraints are already strongly
+    closed, letting the hot transfer-function paths skip redundant
+    closures; equality ignores it."""
 
-    dim: int
-    matrix: np.ndarray | None = None
-    empty: bool = False
-    closed_flag: bool = field(default=False, compare=False)
+    __slots__ = ("dim", "constraints", "empty", "closed_flag")
+
+    def __init__(
+        self,
+        dim: int,
+        constraints: Constraints | None = None,
+        empty: bool = False,
+        closed_flag: bool = False,
+    ) -> None:
+        self.dim = dim
+        self.constraints = {} if constraints is None else constraints
+        self.empty = empty
+        self.closed_flag = closed_flag
 
     # -- constructors -------------------------------------------------------------
 
     @staticmethod
     def top(dim: int) -> "Octagon":
-        m = np.full((2 * dim, 2 * dim), INF)
-        np.fill_diagonal(m, 0.0)
-        return Octagon(dim, m, closed_flag=True)
+        found = _TOPS.get(dim)
+        if found is None:
+            found = _TOPS[dim] = Octagon(dim, {}, closed_flag=True)
+        return found
 
     @staticmethod
     def bottom(dim: int) -> "Octagon":
-        return Octagon(dim, None, empty=True, closed_flag=True)
+        found = _BOTTOMS.get(dim)
+        if found is None:
+            found = _BOTTOMS[dim] = Octagon(dim, {}, empty=True, closed_flag=True)
+        return found
 
-    def _m(self) -> np.ndarray:
-        assert self.matrix is not None
-        return self.matrix
+    @staticmethod
+    def _from_closure(dim: int, m: Constraints | None) -> "Octagon":
+        """Wrap a closure result (None means infeasible)."""
+        if m is None:
+            return Octagon.bottom(dim)
+        if not m:
+            return Octagon.top(dim)
+        return Octagon(dim, m, closed_flag=True)
 
-    def _support(self) -> np.ndarray:
-        """Variables with at least one finite off-diagonal entry; every
-        other variable is unconstrained (its row/column is all +∞) and
-        inert under closure. Cached on the instance — matrices are never
-        mutated after construction."""
-        cached = getattr(self, "_support_cache", None)
-        if cached is not None:
-            return cached
-        m = self._m()
-        finite = np.isfinite(m)
-        np.fill_diagonal(finite, False)
-        by_index = finite.any(axis=1) | finite.any(axis=0)
-        support = np.nonzero(by_index[0::2] | by_index[1::2])[0]
-        object.__setattr__(self, "_support_cache", support)
-        return support
+    @property
+    def matrix(self):
+        """The dense DBM (numpy ``float64``, +∞ for absent entries), built
+        on demand for renderers; None for ⊥."""
+        if self.empty:
+            return None
+        import numpy as np
+
+        n = 2 * self.dim
+        m = np.full((n, n), np.inf)
+        np.fill_diagonal(m, 0.0)
+        for (i, j), v in self.constraints.items():
+            m[i, j] = v
+        return m
 
     # -- closure --------------------------------------------------------------------
 
     def closed(self) -> "Octagon":
         """Strong closure: shortest paths + unary tightening + integer
-        rounding. Returns ⊥ if the constraint system is infeasible.
-
-        When the matrix is sparse (most variables unconstrained), closure
-        runs on the support submatrix only — byte-identical to the dense
-        result, since unconstrained rows/columns stay at +∞ through every
-        relaxation, tightening and strong step of the dense iteration."""
-        if self.empty:
+        rounding. Returns ⊥ if the constraint system is infeasible."""
+        if self.empty or self.closed_flag:
             return self
-        if self.closed_flag:
-            return self
-        # DBM entries are finite or +∞ (never −∞), so +∞ arithmetic cannot
-        # produce NaN and no scrubbing is needed in the relaxations.
-        if _SPARSE_ENABLED and self.dim >= 2:
-            support = self._support()
-            s = len(support)
-            if s == 0:
-                m = self._m().copy()
-                if np.any(np.diag(m) < 0):
-                    return Octagon.bottom(self.dim)
-                np.fill_diagonal(m, 0.0)
-                return Octagon(self.dim, m, closed_flag=True)
-            if s < self.dim and s <= _SPARSE_THRESHOLD * self.dim:
-                ix = np.ix_(
-                    _interleaved_pairs(support), _interleaved_pairs(support)
-                )
-                sub = np.ascontiguousarray(self._m()[ix])
-                # same round cap as the dense path: identical fixpoint and
-                # identical bottom detection on the embedded submatrix
-                if not _strong_closure_rounds(sub, 2 * self.dim + 2):
-                    return Octagon.bottom(self.dim)
-                m = np.full_like(self._m(), INF)
-                np.fill_diagonal(m, 0.0)
-                m[ix] = sub
-                return Octagon(self.dim, m, closed_flag=True)
-        m = self._m().copy()
-        if not _strong_closure_rounds(m, 2 * self.dim + 2):
-            return Octagon.bottom(self.dim)
-        return Octagon(self.dim, m, closed_flag=True)
+        return Octagon._from_closure(self.dim, _strong_closure(self.constraints, self.dim))
 
     def is_bottom(self) -> bool:
         return self.empty
@@ -226,9 +242,9 @@ class Octagon:
     def is_top(self) -> bool:
         if self.empty:
             return False
-        # every finite entry is on the (zero) diagonal
-        m = self._m()
-        return int(np.count_nonzero(np.isfinite(m))) == m.shape[0]
+        # no finite off-diagonal entry; like the dense matrix, a raw
+        # negative diagonal entry does not count
+        return all(i == j for i, j in self.constraints)
 
     # -- lattice ---------------------------------------------------------------------
 
@@ -239,58 +255,47 @@ class Octagon:
             return False
         if self is other:
             return True
-        a, b = self._m(), other._m()
-        if _SPARSE_ENABLED and self.dim >= 2:
-            # b is +∞ off-diagonal outside its support, where a ≤ b holds
-            # trivially — only the diagonal and b's support block matter
-            support = other._support()
-            if 2 * len(support) < a.shape[0]:
-                if not np.all(np.diag(a) <= np.diag(b)):
+        # only other's finite entries can fail a ≤ b; a's stored diagonal
+        # entries are negative, so they sit below other's implicit zeros
+        a = self.constraints
+        for key, bound in other.constraints.items():
+            mine = a.get(key)
+            if mine is None:
+                if key[0] != key[1]:
                     return False
-                if len(support) == 0:
-                    return True
-                ix = np.ix_(
-                    _interleaved_pairs(support), _interleaved_pairs(support)
-                )
-                return bool(np.all(a[ix] <= b[ix]))
-        return bool(np.all(a <= b))
+                mine = 0.0
+            if mine > bound:
+                return False
+        return True
 
     def join(self, other: "Octagon") -> "Octagon":
         if self.empty:
             return other
         if other.empty:
             return self
-        a, b = self._m(), other._m()
-        if _SPARSE_ENABLED and self.dim >= 2:
-            # max(a, b) is finite off-diagonal only where both are — the
-            # intersection of the supports
-            common = np.intersect1d(self._support(), other._support())
-            if 2 * len(common) < a.shape[0]:
-                out = np.full_like(a, INF)
-                n = a.shape[0]
-                idx = np.arange(n)
-                out[idx, idx] = np.maximum(np.diag(a), np.diag(b))
-                if len(common):
-                    ix = np.ix_(
-                        _interleaved_pairs(common), _interleaved_pairs(common)
-                    )
-                    out[ix] = np.maximum(a[ix], b[ix])
-                return Octagon(
-                    self.dim,
-                    out,
-                    closed_flag=self.closed_flag and other.closed_flag,
-                )
+        a, b = self.constraints, other.constraints
+        # the pointwise max is finite only where both bounds are; a
+        # one-sided diagonal entry loses to the other side's implicit 0
+        out = {}
+        for key, av in a.items():
+            bv = b.get(key)
+            if bv is not None:
+                out[key] = av if av > bv else bv
         # pointwise max of strongly closed DBMs is strongly closed
-        return Octagon(
-            self.dim,
-            np.maximum(a, b),
-            closed_flag=self.closed_flag and other.closed_flag,
-        )
+        closed = self.closed_flag and other.closed_flag
+        if not out and closed:
+            return Octagon.top(self.dim)
+        return Octagon(self.dim, out, closed_flag=closed)
 
     def meet(self, other: "Octagon") -> "Octagon":
         if self.empty or other.empty:
             return Octagon.bottom(self.dim)
-        return Octagon(self.dim, np.minimum(self._m(), other._m())).closed()
+        out = dict(self.constraints)
+        for key, bv in other.constraints.items():
+            av = out.get(key)
+            if av is None or not av < bv:
+                out[key] = bv
+        return Octagon(self.dim, out).closed()
 
     def widen(self, other: "Octagon") -> "Octagon":
         """Standard DBM widening: unstable entries go to +∞."""
@@ -298,29 +303,21 @@ class Octagon:
             return other
         if other.empty:
             return self
-        a, b = self._m(), other._m()
-        if _SPARSE_ENABLED and self.dim >= 2:
-            # a's +∞ entries stay +∞ under widening (b ≤ +∞ keeps a), so
-            # only a's support block can hold finite results
-            support = self._support()
-            if 2 * len(support) < a.shape[0]:
-                out = np.full_like(a, INF)
-                if len(support):
-                    ix = np.ix_(
-                        _interleaved_pairs(support), _interleaved_pairs(support)
-                    )
-                    out[ix] = np.where(b[ix] <= a[ix], a[ix], INF)
-                np.fill_diagonal(out, 0.0)
-                return Octagon(self.dim, out)
-        out = np.where(b <= a, a, INF)
-        np.fill_diagonal(out, 0.0)
+        b = other.constraints
+        out = {}
+        for key, av in self.constraints.items():
+            bv = b.get(key)
+            if bv is not None and bv <= av and key[0] != key[1]:
+                out[key] = av
         return Octagon(self.dim, out)
 
     def narrow(self, other: "Octagon") -> "Octagon":
         if self.empty or other.empty:
             return Octagon.bottom(self.dim)
-        a, b = self._m(), other._m()
-        out = np.where(np.isinf(a), b, a)
+        out = dict(self.constraints)
+        for key, bv in other.constraints.items():
+            if key not in out and key[0] != key[1]:
+                out[key] = bv
         return Octagon(self.dim, out).closed()
 
     def __eq__(self, other: object) -> bool:
@@ -328,64 +325,67 @@ class Octagon:
             return NotImplemented
         if self.empty or other.empty:
             return self.empty == other.empty
-        return self.dim == other.dim and bool(np.array_equal(self._m(), other._m()))
+        # == on floats treats -0.0 and 0.0 as equal, like the dense DBMs
+        return self.dim == other.dim and self.constraints == other.constraints
 
     def __hash__(self) -> int:  # pragma: no cover - not used as dict key
         return hash((self.dim, self.empty))
+
+    def __repr__(self) -> str:
+        if self.empty:
+            return f"Octagon.bottom({self.dim})"
+        return f"Octagon({self.dim}, {self.constraints!r}, closed_flag={self.closed_flag})"
 
     # -- constraint entry points ---------------------------------------------------------
 
     def with_upper(self, k: int, c: float) -> "Octagon":
         """Add ``x_k ≤ c``."""
-        return self._with_entry(2 * k + 1, 2 * k, 2 * c)
+        return self._with((2 * k + 1, 2 * k, 2 * c))
 
     def with_lower(self, k: int, c: float) -> "Octagon":
         """Add ``x_k ≥ c``."""
-        return self._with_entry(2 * k, 2 * k + 1, -2 * c)
+        return self._with((2 * k, 2 * k + 1, -2 * c))
 
     def with_diff(self, j: int, i: int, c: float) -> "Octagon":
         """Add ``x_j − x_i ≤ c``."""
-        return self._with_entry(2 * i, 2 * j, c)._with_entry_last(
-            2 * j + 1, 2 * i + 1, c
-        )
+        return self._with((2 * i, 2 * j, c), (2 * j + 1, 2 * i + 1, c))
 
     def with_sum_upper(self, i: int, j: int, c: float) -> "Octagon":
         """Add ``x_i + x_j ≤ c``."""
-        return self._with_entry(2 * i + 1, 2 * j, c)._with_entry_last(
-            2 * j + 1, 2 * i, c
-        )
+        return self._with((2 * i + 1, 2 * j, c), (2 * j + 1, 2 * i, c))
 
-    def _with_entry(self, i: int, j: int, c: float) -> "Octagon":
+    def _with(self, *entries: tuple[int, int, float]) -> "Octagon":
+        """Tighten the given entries (unclosed result)."""
         if self.empty:
             return self
-        m = self._m().copy()
-        if c < m[i, j]:
-            m[i, j] = c
+        m = dict(self.constraints)
+        for i, j, c in entries:
+            cur = m.get((i, j))
+            if cur is None:
+                cur = 0.0 if i == j else INF
+            if c < cur:
+                m[i, j] = float(c)
         return Octagon(self.dim, m)
-
-    def _with_entry_last(self, i: int, j: int, c: float) -> "Octagon":
-        return self._with_entry(i, j, c)
 
     # -- transfer functions -----------------------------------------------------------------
 
     def forget(self, k: int) -> "Octagon":
         """Drop every constraint mentioning ``x_k`` (havoc). Wiping a
-        variable of a strongly closed matrix keeps it strongly closed."""
+        variable of a strongly closed system keeps it strongly closed."""
         if self.empty:
             return self
-        m = self.closed()
-        if m.empty:
-            return m
-        out = m._m().copy()
-        for idx in (2 * k, 2 * k + 1):
-            out[idx, :] = INF
-            out[:, idx] = INF
-        np.fill_diagonal(out, 0.0)
-        return Octagon(self.dim, out, closed_flag=True)
+        base = self.closed()
+        if base.empty:
+            return base
+        c = base.constraints
+        out = _without_var(c, k)
+        if len(out) == len(c):
+            return base
+        return Octagon._from_closure(self.dim, out)
 
     def assign_interval(self, k: int, itv: Interval) -> "Octagon":
-        """``x_k := [l, u]`` — forget then bound, with the O(n²)
-        incremental closure (only ``x_k``'s constraints changed)."""
+        """``x_k := [l, u]`` — forget then bound, with the incremental
+        closure (only ``x_k``'s constraints changed)."""
         if self.empty:
             return self
         if itv.is_bottom():
@@ -393,20 +393,12 @@ class Octagon:
         base = self.closed()
         if base.empty:
             return base
-        m = base._m().copy()
-        for idx in (2 * k, 2 * k + 1):
-            m[idx, :] = INF
-            m[:, idx] = INF
-        np.fill_diagonal(m, 0.0)
+        m = _without_var(base.constraints, k)
         if itv.hi is not None:
             m[2 * k + 1, 2 * k] = 2.0 * itv.hi
         if itv.lo is not None:
             m[2 * k, 2 * k + 1] = -2.0 * itv.lo
-        _incremental_close(m, k)
-        if np.any(np.diag(m) < 0):
-            return Octagon.bottom(self.dim)
-        np.fill_diagonal(m, 0.0)
-        return Octagon(self.dim, m, closed_flag=True)
+        return Octagon._from_closure(self.dim, _close_touched(m, (k,)))
 
     def assign_var_plus(
         self, k: int, src: int, delta: Interval, negate: bool = False
@@ -423,30 +415,27 @@ class Octagon:
         out = self.forget(k)
         if out.empty:
             return out
-        m = out._m().copy()
+        m = dict(out.constraints)
+        pk, nk, ps, ns = 2 * k, 2 * k + 1, 2 * src, 2 * src + 1
         if not negate:
             # x_k − x_src ≤ hi ; x_src − x_k ≤ −lo
-            if np.isfinite(hi):
-                m[2 * src, 2 * k] = hi
-                m[2 * k + 1, 2 * src + 1] = hi
-            if np.isfinite(lo):
-                m[2 * k, 2 * src] = -lo
-                m[2 * src + 1, 2 * k + 1] = -lo
+            if math.isfinite(hi):
+                m[ps, pk] = hi
+                m[nk, ns] = hi
+            if math.isfinite(lo):
+                m[pk, ps] = -lo
+                m[ns, nk] = -lo
         else:
             # x_k + x_src ≤ hi ; −x_k − x_src ≤ −lo
-            if np.isfinite(hi):
-                m[2 * src + 1, 2 * k] = hi
-                m[2 * k + 1, 2 * src] = hi
-            if np.isfinite(lo):
-                m[2 * k, 2 * src + 1] = -lo
-                m[2 * src, 2 * k + 1] = -lo
+            if math.isfinite(hi):
+                m[ns, pk] = hi
+                m[nk, ps] = hi
+            if math.isfinite(lo):
+                m[pk, ns] = -lo
+                m[ps, nk] = -lo
         # the new x_k↔x_src edges compose with x_src's old bounds, so the
         # incremental closure must relax through both variables' indices
-        _close_touched(m, (src, k))
-        if np.any(np.diag(m) < 0):
-            return Octagon.bottom(self.dim)
-        np.fill_diagonal(m, 0.0)
-        return Octagon(self.dim, m, closed_flag=True)
+        return Octagon._from_closure(self.dim, _close_touched(m, (src, k)))
 
     def _assign_self_shift(
         self, k: int, lo: float, hi: float, negate: bool
@@ -455,28 +444,27 @@ class Octagon:
         base = self.closed()
         if base.empty:
             return base
-        m = base._m().copy()
         pos, neg = 2 * k, 2 * k + 1
-        if negate:
-            m[[pos, neg], :] = m[[neg, pos], :]
-            m[:, [pos, neg]] = m[:, [neg, pos]]
-        # Translating x by [lo, hi]: constraints x − y get +[lo,hi] etc.
-        for idx, sign_row in ((pos, -1), (neg, +1)):
-            for j in range(m.shape[0]):
-                if j in (pos, neg):
-                    continue
-                # row idx: v_j − v_idx ≤ c  → v_idx grows by δ ⇒ bound −δ
-                if np.isfinite(m[idx, j]):
-                    m[idx, j] += -lo if idx == pos else hi
-                if np.isfinite(m[j, idx]):
-                    m[j, idx] += hi if idx == pos else -lo
-        # Unary pair: x ≤ u becomes x ≤ u + hi; −x ≤ −l becomes −x ≤ −l − lo
-        if np.isfinite(m[neg, pos]):
-            m[neg, pos] += 2 * hi
-        if np.isfinite(m[pos, neg]):
-            m[pos, neg] += -2 * lo
+        m = {}
+        for (i, j), v in base.constraints.items():
+            if negate:  # swap the ±x_k rows and columns
+                if i >> 1 == k:
+                    i ^= 1
+                if j >> 1 == k:
+                    j ^= 1
+            # x grows by δ ∈ [lo, hi]: bounds on v_j − (±x) and (±x) − v_i
+            # shift by the matching end of δ
+            if i >> 1 == k and j >> 1 == k:
+                # unary pair: x ≤ u becomes x ≤ u + hi; −x ≤ −l becomes −x ≤ −l − lo
+                v += 2 * hi if i == neg else -2 * lo
+            elif i == pos or j == neg:
+                v += -lo
+            elif i == neg or j == pos:
+                v += hi
+            if v != INF:
+                m[i, j] = v
         out = Octagon(self.dim, m)
-        if np.isinf(hi) or np.isinf(lo):
+        if math.isinf(hi) or math.isinf(lo):
             return out.forget(k)
         return out.closed()
 
@@ -489,12 +477,10 @@ class Octagon:
             return raw
         if not self.closed_flag:
             return raw.closed()
-        m = raw._m().copy()
-        _close_touched(m, touched)
-        if np.any(np.diag(m) < 0):
+        m = _off_diagonal(raw.constraints)
+        if m is None:
             return Octagon.bottom(self.dim)
-        np.fill_diagonal(m, 0.0)
-        return Octagon(self.dim, m, closed_flag=True)
+        return Octagon._from_closure(self.dim, _close_touched(m, touched))
 
     def test_upper(self, k: int, c: float) -> "Octagon":
         return self._test_incremental(self.with_upper(k, c), (k,))
@@ -526,11 +512,11 @@ class Octagon:
         m = self.closed()
         if m.empty:
             return Interval.bottom()
-        mm = m._m()
-        hi_raw = mm[2 * k + 1, 2 * k] / 2
-        lo_raw = -mm[2 * k, 2 * k + 1] / 2
-        hi = None if np.isinf(hi_raw) else int(np.floor(hi_raw))
-        lo = None if np.isinf(lo_raw) else int(np.ceil(lo_raw))
+        c = m.constraints
+        upper = c.get((2 * k + 1, 2 * k))
+        lower = c.get((2 * k, 2 * k + 1))
+        hi = None if upper is None else math.floor(upper / 2)
+        lo = None if lower is None else math.ceil(-lower / 2)
         return Interval.range(lo, hi)
 
     def __str__(self) -> str:

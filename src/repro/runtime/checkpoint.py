@@ -39,8 +39,6 @@ import os
 import time
 from typing import Any
 
-import numpy as np
-
 from repro.domains.absloc import AbsLoc, AllocLoc, FieldLoc, FuncLoc, RetLoc, VarLoc
 from repro.domains.interval import Interval
 from repro.domains.state import AbsState
@@ -145,14 +143,17 @@ def pack_from_wire(wire: list):
 
 
 def octagon_to_wire(oct_) -> dict:
+    """The row-major DBM of ``oct_`` (``None`` for +∞), rebuilt from its
+    constraint map: absent off-diagonal entries are +∞, absent diagonal
+    entries 0."""
     if oct_.empty:
         return {"d": oct_.dim, "e": True}
-    flat = oct_._m().flatten().tolist()
-    return {
-        "d": oct_.dim,
-        "c": bool(oct_.closed_flag),
-        "m": [None if x == np.inf else x for x in flat],
-    }
+    n = 2 * oct_.dim
+    flat: list = [None] * (n * n)
+    flat[:: n + 1] = [0.0] * n
+    for (i, j), bound in oct_.constraints.items():
+        flat[i * n + j] = bound
+    return {"d": oct_.dim, "c": bool(oct_.closed_flag), "m": flat}
 
 
 def octagon_from_wire(wire: dict):
@@ -162,10 +163,17 @@ def octagon_from_wire(wire: dict):
     if wire.get("e"):
         return Octagon.bottom(dim)
     n = 2 * dim
-    matrix = np.array(
-        [np.inf if x is None else x for x in wire["m"]], dtype=np.float64
-    ).reshape(n, n)
-    return Octagon(dim, matrix, closed_flag=wire.get("c", False))
+    cells = wire["m"]
+    if len(cells) != n * n:
+        raise ValueError(f"octagon of dim {dim} needs {n * n} cells, got {len(cells)}")
+    constraints = {}
+    for index, x in enumerate(cells):
+        if x is None:
+            continue
+        i, j = divmod(index, n)
+        if i != j or x != 0:
+            constraints[i, j] = float(x)
+    return Octagon(dim, constraints, closed_flag=wire.get("c", False))
 
 
 def state_to_wire(state) -> list:

@@ -40,7 +40,7 @@ def canonical_value(value) -> str:
     if hasattr(value, "matrix"):  # Octagon
         if value.empty:
             return f"oct({value.dim})=bottom"
-        cells = ",".join(repr(float(x)) for x in value._m().flatten())
+        cells = ",".join(repr(float(x)) for x in value.matrix.flatten())
         return f"oct({value.dim})=[{cells}]"
     return str(value)
 

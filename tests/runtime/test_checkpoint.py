@@ -130,14 +130,29 @@ class TestOctagonCodec:
         wire = json.loads(json.dumps(octagon_to_wire(oct_)))
         back = octagon_from_wire(wire)
         assert back.dim == 2 and not back.empty
-        assert np.array_equal(back._m(), oct_._m())
+        assert np.array_equal(back.matrix, oct_.matrix)
 
     def test_constrained_round_trip_is_exact(self):
         oct_ = Octagon.top(2).assign_interval(0, Interval(-3, 11))
         oct_ = oct_.assign_interval(1, Interval(2, 5))
         back = octagon_from_wire(json.loads(json.dumps(octagon_to_wire(oct_))))
-        assert np.array_equal(back._m(), oct_._m())
+        assert np.array_equal(back.matrix, oct_.matrix)
         assert back.closed_flag == oct_.closed_flag
+
+    def test_wire_is_the_row_major_dense_matrix(self):
+        """The constraint map encodes to exactly the cells of the dense DBM
+        (+∞ as None, signed zeros kept): the wire format of existing
+        snapshot files."""
+        raw = Octagon.top(3).with_lower(1, 0.0).with_diff(2, 2, -1)
+        closed = Octagon.top(3).assign_interval(0, Interval(0, 0))
+        closed = closed.assign_var_plus(2, 0, Interval(-1, 4), negate=True)
+        for oct_ in (Octagon.top(3), raw, closed, closed.widen(raw)):
+            wire = octagon_to_wire(oct_)
+            dense = [None if x == np.inf else x for x in oct_.matrix.flatten().tolist()]
+            assert json.dumps(wire["m"]) == json.dumps(dense)
+            back = octagon_from_wire(json.loads(json.dumps(wire)))
+            assert back == oct_ and back.closed_flag == oct_.closed_flag
+            assert json.dumps(octagon_to_wire(back)) == json.dumps(wire)
 
     def test_pack_state_round_trip(self):
         from repro.analysis.relational import PackState
@@ -151,7 +166,7 @@ class TestOctagonCodec:
         back = state_from_wire(json.loads(json.dumps(wire)))
         (p1, o1), = back.items()
         (p0, o0), = state.items()
-        assert p1 == p0 and np.array_equal(o1._m(), o0._m())
+        assert p1 == p0 and np.array_equal(o1.matrix, o0.matrix)
 
 
 class TestFileFormat:
