@@ -144,6 +144,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         program = run.program
         print(f"procedures      : {program.num_functions()}")
         print(f"control points  : {program.num_statements()}")
+        print(f"pre-analysis    : {run.pre.rounds} rounds, "
+              f"{run.pre.visits} transfers")
         stats = run.result.stats
         print(f"iterations      : {stats.iterations}")
         if run.result.deps is not None:

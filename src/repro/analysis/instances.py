@@ -134,7 +134,9 @@ def semi_sparse_preanalysis(program: Program) -> PreAnalysis:
         else:
             coarse.set(loc, value)
 
-    out = PreAnalysis(program, coarse, rounds=precise.rounds)
+    out = PreAnalysis(
+        program, coarse, rounds=precise.rounds, visits=precise.visits
+    )
     out.site_callees = dict(precise.site_callees)
     return out
 

@@ -25,6 +25,16 @@ control point): the transfer is the whole-program fold ``F♯_pre``, and each
 engine visit is one global round — making literal the paper's framing that
 the flow-insensitive analysis is the same abstract interpreter with the
 propagation structure collapsed to a point.
+
+The fold is *semi-naïve*. Round 1 runs every node's transfer with an
+:class:`~repro.analysis.semantics.AccessLog` and indexes, per location, the
+nodes that read it. Every later round re-runs only the readers of the
+locations whose value differs between the previous two round inputs, in
+program order. Skipping a node is exact: its reads did not change, so it
+writes the same values as at its last run; those are already ⊑ the round's
+accumulator, and ``x.join(v) == x.widen(v) == x`` whenever ``v ⊑ x``. The
+global state, the resolved call graph and the round count are therefore
+those of the naïve fold that re-runs every node every round.
 """
 
 from __future__ import annotations
@@ -32,11 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.engine import FixpointEngine, OnePointSpace
+from repro.domains.absloc import AbsLoc
 from repro.domains.state import AbsState
 from repro.ir.cfg import Node
 from repro.ir.commands import CAssume, CCall
 from repro.ir.program import Program
-from repro.analysis.semantics import AnalysisContext, transfer
+from repro.analysis.semantics import AccessLog, AnalysisContext, transfer
 from repro.runtime.budget import Budget, BudgetMeter
 from repro.telemetry.core import Telemetry
 
@@ -53,6 +64,8 @@ class PreAnalysis:
     state: AbsState = field(default_factory=AbsState)
     site_callees: dict[int, tuple[str, ...]] = field(default_factory=dict)
     rounds: int = 0
+    #: node transfers the rounds actually ran (skipped readers excluded)
+    visits: int = 0
 
     def callees(self, node: Node) -> tuple[str, ...]:
         return self.site_callees.get(node.nid, ())
@@ -66,11 +79,11 @@ def run_preanalysis(
 ) -> PreAnalysis:
     """Iterate ``F♯_pre`` to a post-fixpoint.
 
-    Function-pointer call sites are re-resolved against the growing global
-    state every round, so the call graph and the invariant converge
-    together.
+    A function-pointer call site is re-resolved against the growing global
+    state in every round after a location its callee expression reads has
+    changed, so the call graph and the invariant converge together.
 
-    The optional ``budget``/``meter`` charge one tick per node visit. The
+    The optional ``budget``/``meter`` charge one tick per visited node. The
     pre-analysis is itself the degradation safety net (Lemma 2), so there is
     nothing sound to fall back to when *it* runs out: exhaustion always
     raises :class:`repro.runtime.errors.BudgetExceeded`.
@@ -80,23 +93,41 @@ def run_preanalysis(
         meter = BudgetMeter(budget, stage="pre-analysis")
     ctx = AnalysisContext(program, site_callees=None)
     nodes = program.nodes()
+    # Assumes only *refine* states; in a flow-insensitive setting they are
+    # sound no-ops and skipping them avoids spurious bottom states.
+    active = [node for node in nodes if not isinstance(node.cmd, CAssume)]
     space = OnePointSpace(AbsState, max_rounds=_MAX_ROUNDS)
+    #: location → positions in ``active`` of the nodes that have read it
+    readers: dict[AbsLoc, set[int]] = {}
+    prev: AbsState | None = None
+    visits = 0
 
     def global_round(_nid: int, state: AbsState) -> AbsState:
-        """One application of ``F♯_pre``: fold every node's transfer over
-        the current global state. The caller's meter is charged per node
-        visit (the engine's own per-round metering stays unlimited — the
-        pre-analysis is the degradation safety net, see above)."""
+        """One application of ``F♯_pre``: fold over the current global
+        state the transfers of every node in round 1, then of the readers
+        of the locations the previous round changed. The caller's meter is
+        charged per visited node (the engine's own per-round metering stays
+        unlimited — the pre-analysis is the degradation safety net, see
+        above)."""
+        nonlocal prev, visits
+        if prev is None:
+            dirty = range(len(active))
+        else:
+            hit: set[int] = set()
+            for loc, _value in state.delta_items(prev):
+                hit.update(readers.get(loc, ()))
+            dirty = sorted(hit)
+        prev = state
         acc = state.copy()
         widening = space.rounds > _JOIN_ROUNDS
-        for node in nodes:
+        for i in dirty:
+            node = active[i]
             meter.tick()
-            if isinstance(node.cmd, CAssume):
-                # Assumes only *refine* states; in a flow-insensitive
-                # setting they are sound no-ops and skipping them avoids
-                # spurious bottom states.
-                continue
-            out = transfer(node, state, ctx)
+            visits += 1
+            log = AccessLog()
+            out = transfer(node, state, ctx, log)
+            for loc in log.used:
+                readers.setdefault(loc, set()).add(i)
             if out is None:
                 continue
             # Join only entries the transfer actually changed (value objects
@@ -116,14 +147,15 @@ def run_preanalysis(
         engine.solve()
         state = engine.table.get(OnePointSpace.NODE, AbsState())
 
-        result = PreAnalysis(program, state, rounds=space.rounds)
+        result = PreAnalysis(program, state, rounds=space.rounds, visits=visits)
         resolving_ctx = AnalysisContext(program, site_callees=None)
         for node in nodes:
             if isinstance(node.cmd, CCall):
                 result.site_callees[node.nid] = resolving_ctx.resolve_callees(
                     node, state
                 )
-        sp.set(rounds=space.rounds, state_size=len(state))
+        sp.set(rounds=space.rounds, visits=visits, state_size=len(state))
     tel.count("pre.rounds", space.rounds)
+    tel.count("pre.visits", visits)
     tel.gauge("pre.state_size", len(state))
     return result

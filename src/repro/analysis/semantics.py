@@ -28,7 +28,7 @@ from repro.domains.absloc import (
 )
 from repro.domains.interval import BOOL, BOT as ITV_BOT, Interval, ONE, ZERO
 from repro.domains.state import AbsState
-from repro.domains.value import AbsValue, ArrayBlock
+from repro.domains.value import AbsValue, ArrayBlock, merge_blocks
 from repro.ir.cfg import Node
 from repro.ir.commands import (
     CAlloc,
@@ -137,13 +137,16 @@ class AnalysisContext:
             return True
         return False
 
-    def resolve_callees(self, node: Node, state: AbsState) -> tuple[str, ...]:
+    def resolve_callees(
+        self, node: Node, state: AbsState, log: AccessLog | None = None
+    ) -> tuple[str, ...]:
         """Candidate callees of a call node.
 
         Uses the pre-resolved call graph when available (Section 5: function
         pointers are resolved by the flow-insensitive pre-analysis);
         otherwise resolves from the current state — which is exactly what
-        the pre-analysis itself does while its global invariant grows.
+        the pre-analysis itself does while its global invariant grows. The
+        function-pointer reads of that resolution are recorded in ``log``.
         """
         cmd = node.cmd
         assert isinstance(cmd, CCall)
@@ -151,7 +154,7 @@ class AnalysisContext:
             return self.site_callees.get(node.nid, ())
         if cmd.static_callee is not None and cmd.static_callee in self._defined_funcs:
             return (cmd.static_callee,)
-        value = Evaluator(self, state).eval(cmd.callee)
+        value = Evaluator(self, state, log).eval(cmd.callee)
         names = tuple(
             sorted(
                 loc.name
@@ -266,7 +269,7 @@ class Evaluator:
             shifted = tuple(
                 blk.shift(d2) if not d2.is_bottom() else blk for blk in right.arrays
             )
-            arrays = arrays + shifted
+            arrays = merge_blocks(arrays, shifted, ArrayBlock.join)
         if left.ptsto:
             ptsto = left.ptsto  # field-insensitive scalar pointer arithmetic
         if op == "+" and right.ptsto:
@@ -373,7 +376,7 @@ def transfer(
         return _assume(out, cmd, ctx, log)
 
     if isinstance(cmd, CCall):
-        callees = ctx.resolve_callees(node, state)
+        callees = ctx.resolve_callees(node, state, log)
         for callee in callees:
             info = ctx.program.proc_infos.get(callee)
             if info is None:
@@ -393,7 +396,7 @@ def transfer(
 
     if isinstance(cmd, CRetBind):
         call_node = ctx.program.node(cmd.call_node)
-        callees = ctx.resolve_callees(call_node, state)
+        callees = ctx.resolve_callees(call_node, state, log)
         if cmd.lval is None:
             # Still a use of the return locations (they flow to the caller).
             for callee in callees:

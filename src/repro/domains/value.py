@@ -67,11 +67,14 @@ class ArrayBlock:
         return f"⟨{self.base}, off={self.offset}, sz={self.size}⟩"
 
 
-def _merge_blocks(
+def merge_blocks(
     a: tuple[ArrayBlock, ...],
     b: tuple[ArrayBlock, ...],
     combine,
 ) -> tuple[ArrayBlock, ...]:
+    """The blocks of ``a`` and ``b`` in normal form — one block per base
+    (same-base pairs ``combine``d), sorted by base. Join and widen absorb
+    a smaller operand exactly only on values in this form."""
     by_base: dict[AbsLoc, ArrayBlock] = {blk.base: blk for blk in a}
     for blk in b:
         if blk.base in by_base:
@@ -285,7 +288,7 @@ class AbsValue:
         result = AbsValue(
             itv=self.itv.join(other.itv),
             ptsto=self.ptsto | other.ptsto,
-            arrays=_merge_blocks(
+            arrays=merge_blocks(
                 self.arrays, other.arrays, lambda x, y: x.join(y)
             ),
         )
@@ -312,7 +315,7 @@ class AbsValue:
         result = AbsValue(
             itv=self.itv.widen(other.itv, thresholds),
             ptsto=self.ptsto | other.ptsto,
-            arrays=_merge_blocks(
+            arrays=merge_blocks(
                 self.arrays, other.arrays, lambda x, y: x.widen(y)
             ),
         )

@@ -95,7 +95,7 @@ def write_phase_report(tel: Telemetry, path) -> int:
 
 #: counters/gauges shown next to the phase they describe
 _PHASE_DETAILS = {
-    "pre-analysis": ("pre.rounds",),
+    "pre-analysis": ("pre.rounds", "pre.visits"),
     "query": (
         "query.resident",
         "query.cone",

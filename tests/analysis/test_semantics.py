@@ -97,6 +97,22 @@ class TestEvaluator:
         v = ev.eval(EBinOp("+", ELval(P), ENum(3)))
         assert v.arrays[0].offset == Interval.const(3)
 
+    def test_adding_two_block_values_keeps_normal_form(self):
+        """One block per base, sorted by base — the form in which a join
+        with a smaller value returns the value itself."""
+        from repro.domains.value import ArrayBlock
+
+        a = ArrayBlock(AllocLoc("a"), Interval.const(0), Interval.const(10))
+        b = ArrayBlock(AllocLoc("b"), Interval.const(0), Interval.const(10))
+        s = state_of(
+            p=AbsValue(itv=Interval.const(2), arrays=(b,)),
+            q=AbsValue(itv=Interval.const(1), arrays=(a, b)),
+        )
+        v = Evaluator(make_ctx(), s).eval(EBinOp("+", ELval(P), ELval(VarLv("q"))))
+        assert [blk.base for blk in v.arrays] == [AllocLoc("a"), AllocLoc("b")]
+        assert v.arrays[1].offset == Interval.range(1, 2)
+        assert v.join(AbsValue.of_block(v.arrays[0])) == v
+
     def test_logical_not(self):
         s = state_of(x=AbsValue.of_const(0))
         ev = Evaluator(make_ctx(), s)

@@ -204,3 +204,34 @@ class TestCrashSafeWrites:
             write_chrome_trace(poisoned, path)
         assert path.read_bytes() == good  # old export untouched
         assert os.listdir(tmp_path) == ["trace.json"]  # temp file cleaned up
+
+
+class TestPreAnalysisVisits:
+    def test_semi_naive_rounds_visit_fewer_than_every_node(self):
+        """A loop plus a pointer chain keeps the pre-analysis going for
+        several rounds; later rounds re-run only the readers of changed
+        locations, so the visit count stays below rounds × nodes."""
+        from repro.analysis.preanalysis import run_preanalysis
+        from repro.ir.program import build_program
+
+        program = build_program(
+            """
+            int g; int h; int *p; int *q;
+            int main(void) {
+              int i; int s = 0;
+              for (i = 0; i < 100; i++) { s = s + i; g = s; }
+              q = p; p = &h; h = g;
+              return *q;
+            }
+            """
+        )
+        tel = Telemetry()
+        pre = run_preanalysis(program, telemetry=tel)
+        row = phase_report(tel).row("pre-analysis")
+        rounds, visits = row.details["pre.rounds"], row.details["pre.visits"]
+        assert (rounds, visits) == (pre.rounds, pre.visits)
+        assert rounds >= 4
+        assert 0 < visits < rounds * len(program.nodes())
+        (span,) = tel.spans_named("pre-analysis")
+        assert span.attrs["visits"] == visits
+        assert f"visits={visits}" in phase_report(tel).text()

@@ -1,5 +1,7 @@
 """CLI tests (python -m repro)."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -64,6 +66,7 @@ class TestAnalyzeCommand:
         main(["analyze", clean_file, "--stats"])
         out = capsys.readouterr().out
         assert "dependencies" in out and "control points" in out
+        assert re.search(r"pre-analysis    : \d+ rounds, \d+ transfers", out)
 
     def test_query_flag(self, clean_file, capsys):
         main(["analyze", clean_file, "--query", "main:i"])
