@@ -6,26 +6,16 @@ optimization makes the analysis more sparse, leading to a significant
 speed up."
 
 We measure on call-chain-heavy workloads: dependency counts and sparse
-fixpoint times with and without the bypass rewriting, plus the two bypass
-implementations (per-location closure vs the paper's literal pairwise
-rewriting).
+fixpoint times with and without the bypass rewriting. That the one-pass
+closure equals the paper's literal pairwise rewriting is a tier-1 test
+(``tests/analysis/test_datadep.py::TestOnePassClosure``).
 
     pytest benchmarks/bench_bypass.py --benchmark-only -s
 """
 
-import time
-
 import pytest
 
-from repro.analysis.datadep import (
-    bypass_optimization,
-    bypass_optimization_naive,
-    generate_datadeps,
-)
-from repro.analysis.defuse import compute_defuse
-from repro.analysis.dense import build_interproc_graph
 from repro.analysis.sparse import run_sparse
-from repro.analysis.worklist import find_widening_points
 
 
 def _pipeline(prep, bypass):
@@ -56,27 +46,3 @@ def test_bypass_improves_fix_time(prepared_interval):
     )
     # the optimized fixpoint must not do more propagation work
     assert with_bp.stats.iterations <= without.stats.iterations * 1.2
-
-
-def test_closure_vs_naive_rewriting(prepared_interval):
-    """Same result, very different construction cost — why the per-location
-    closure implementation matters in practice."""
-    prep = prepared_interval["small"]
-    defuse = compute_defuse(prep.program, prep.pre)
-    graph = build_interproc_graph(prep.program, prep.pre.site_callees)
-    wps = find_widening_points([prep.program.entry_node().nid], graph.succs)
-    raw = generate_datadeps(
-        prep.program, prep.pre, defuse, bypass=False, widening_points=wps
-    ).deps
-
-    t0 = time.perf_counter()
-    fast = bypass_optimization(raw, defuse, keep=wps)
-    closure_t = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    slow = bypass_optimization_naive(raw, defuse, keep=wps)
-    naive_t = time.perf_counter() - t0
-
-    print(f"\nclosure={closure_t * 1e3:.1f}ms naive={naive_t * 1e3:.1f}ms "
-          f"edges {len(fast)} (naive {len(slow)})")
-    assert set(fast.triples()) == set(slow.triples())

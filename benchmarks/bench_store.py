@@ -11,7 +11,10 @@ process (so the gates are ratios, robust to CI machine speed):
    scaled synthetic corpus workloads under both backends. Gate: analysis
    tables must digest identically, and the array/scalar wall-clock ratio
    must not regress by more than ``E2E_TOLERANCE`` against the committed
-   baseline (``benchmarks/baseline_store.json``).
+   baseline (``benchmarks/baseline_store.json``). Each backend's time is
+   the median of ``E2E_WARM_RUNS`` warm runs, alternating with the other
+   backend; each backend's first run is discarded, so whichever backend
+   goes first does not absorb one-off costs.
 
 Usage::
 
@@ -29,6 +32,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -52,6 +56,8 @@ from repro.domains.value import AbsValue, intern_value  # noqa: E402
 MICRO_SPEEDUP_FLOOR = 2.0
 #: allowed regression of the end-to-end array/scalar time ratio vs baseline
 E2E_TOLERANCE = 0.25
+#: timed runs per backend and workload, after one discarded warm-up run
+E2E_WARM_RUNS = 5
 
 
 # -- microbenchmarks ----------------------------------------------------------
@@ -166,17 +172,24 @@ def e2e_bench(quick: bool) -> tuple[dict, list[str]]:
     out: dict[str, dict] = {}
     failures: list[str] = []
     for name, source, domain, mode in _e2e_workloads(quick):
-        times: dict[str, float] = {}
         digests: dict[str, str] = {}
-        for backend in ("scalar", "array"):
-            prev = set_store_backend(backend)
-            try:
-                t0 = time.perf_counter()
-                run = analyze(source, domain=domain, mode=mode)
-                times[backend] = time.perf_counter() - t0
-                digests[backend] = _table_digest(run)
-            finally:
-                set_store_backend(prev)
+        samples: dict[str, list[float]] = {"scalar": [], "array": []}
+        # round 0 warms both backends up and is not timed; later rounds
+        # alternate the backends so drift in machine load hits both
+        for round_ in range(E2E_WARM_RUNS + 1):
+            for backend in ("scalar", "array"):
+                prev = set_store_backend(backend)
+                try:
+                    t0 = time.perf_counter()
+                    run = analyze(source, domain=domain, mode=mode)
+                    elapsed = time.perf_counter() - t0
+                finally:
+                    set_store_backend(prev)
+                if round_ == 0:
+                    digests[backend] = _table_digest(run)
+                else:
+                    samples[backend].append(elapsed)
+        times = {backend: statistics.median(s) for backend, s in samples.items()}
         if digests["scalar"] != digests["array"]:
             failures.append(f"{name}: table digests diverge between backends")
         key = f"e2e/{name}/{domain}/{mode}"

@@ -18,8 +18,12 @@ the spurious interprocedural dependencies of the naïve whole-graph approach:
   (for defined locations);
 * finally the **bypass optimization** removes pass-through nodes: when
   ``a —l→ b`` and ``b —l→ c`` with ``l`` neither really defined nor used at
-  ``b``, the pair is replaced by ``a —l→ c`` (iterated to convergence) —
-  this is what makes the analysis *fully* sparse across call chains.
+  ``b``, the pair is replaced by ``a —l→ c`` — this is what makes the
+  analysis *fully* sparse across call chains. Rather than rewriting pairs,
+  the generators write each location's raw edges into an in-adjacency and
+  one memoised closure per location connects every real use to the real
+  definitions reaching it through pass-through nodes; the raw relation is
+  never materialised, and each location's adjacency is freed once closed.
 
 Two intra-procedural chain generators are provided: an SSA-based one
 (dominance frontiers for phi placement + a renaming walk; the paper's
@@ -44,7 +48,8 @@ from repro.ir.program import Program
 
 class DataDeps:
     """The ternary dependency relation ``↝ ⊆ C × L̂ × C`` with adjacency
-    indexes in both directions."""
+    indexes in both directions. Both indexes hold the *same* location set
+    for a pair ``(src, dst)``."""
 
     def __init__(self) -> None:
         self._out: dict[int, dict[int, set[AbsLoc]]] = {}
@@ -52,20 +57,24 @@ class DataDeps:
         self._count = 0
 
     def add(self, src: int, dst: int, loc: AbsLoc) -> None:
-        locs = self._out.setdefault(src, {}).setdefault(dst, set())
+        by_dst = self._out.get(src)
+        if by_dst is None:
+            by_dst = self._out[src] = {}
+        locs = by_dst.get(dst)
+        if locs is None:
+            locs = by_dst[dst] = set()
+            self._in.setdefault(dst, {})[src] = locs
         if loc not in locs:
             locs.add(loc)
-            self._in.setdefault(dst, {}).setdefault(src, set()).add(loc)
             self._count += 1
 
     def remove(self, src: int, dst: int, loc: AbsLoc) -> None:
-        try:
-            self._out[src][dst].remove(loc)
-            self._in[dst][src].remove(loc)
-            self._count -= 1
-        except KeyError:
+        locs = self._out.get(src, {}).get(dst)
+        if locs is None or loc not in locs:
             return
-        if not self._out[src][dst]:
+        locs.remove(loc)
+        self._count -= 1
+        if not locs:
             del self._out[src][dst]
             del self._in[dst][src]
 
@@ -194,10 +203,36 @@ def augment_defuse(
 # Intraprocedural chain generation: SSA renaming walk
 # --------------------------------------------------------------------------
 
+#: One location's raw edges by destination: ``preds[dst]`` is the ``src``
+#: of ``src —l→ dst``. Most uses have one reaching definition, stored as a
+#: bare node id; a set appears only with a second source (far fewer
+#: objects for the allocator and the cyclic garbage collector to track).
+Preds = dict[int, int | set[int]]
+#: The raw relation before bypassing, indexed for the per-location closure.
+InAdjacency = dict[AbsLoc, Preds]
 
-def _ssa_chains(
-    cfg: ProcCFG, aug: AugmentedDefUse, deps: DataDeps
-) -> None:
+
+def _link(adj: InAdjacency, src: int, dst: int, loc: AbsLoc) -> None:
+    preds = adj.get(loc)
+    if preds is None:
+        adj[loc] = {dst: src}
+        return
+    srcs = preds.get(dst)
+    if srcs is None:
+        preds[dst] = src
+    elif type(srcs) is int:
+        if srcs != src:
+            preds[dst] = {srcs, src}
+    else:
+        srcs.add(src)
+
+
+def _sources(preds: Preds, dst: int) -> tuple[int, ...] | set[int]:
+    srcs = preds.get(dst, ())
+    return (srcs,) if type(srcs) is int else srcs
+
+
+def _ssa_chains(cfg: ProcCFG, aug: AugmentedDefUse, adj: InAdjacency) -> None:
     """Generate def-use chains within one procedure via SSA construction.
 
     Phi placement at iterated dominance frontiers adds ``l`` to both the
@@ -220,36 +255,44 @@ def _ssa_chains(
             phis[site].add(loc)
 
     stacks: dict[AbsLoc, list[int]] = {}
+    uses, routed, succs = aug.uses, aug.routed, cfg.succs
+    none: frozenset[AbsLoc] = frozenset()
 
     # Iterative preorder walk over the dominator tree with explicit
-    # push/pop bookkeeping (Cytron renaming).
-    work: list[tuple[int, bool]] = [(cfg.entry.nid, False)]
+    # push/pop bookkeeping (Cytron renaming); a finished node carries the
+    # locations it pushed.
+    work: list[tuple[int, set[AbsLoc] | None]] = [(cfg.entry.nid, None)]
     while work:
-        nid, done = work.pop()
-        if done:
-            for loc in _node_defs(aug, phis, nid):
+        nid, pushed = work.pop()
+        if pushed is not None:
+            for loc in pushed:
                 stacks[loc].pop()
             continue
-        node_phis = phis.get(nid, set())
-        node_routed = aug.routed.get(nid, ())
-        for loc in aug.uses.get(nid, ()):  # ordinary uses
+        node_phis = phis[nid]
+        node_routed = routed.get(nid, none)
+        for loc in uses.get(nid, none):  # ordinary uses
             if loc in node_phis:
                 continue  # satisfied by the phi (incoming dep edges)
             if loc in node_routed:
                 continue  # satisfied by the callee-exit edge alone
             stack = stacks.get(loc)
             if stack:
-                deps.add(stack[-1], nid, loc)
-        for loc in _node_defs(aug, phis, nid):
-            stacks.setdefault(loc, []).append(nid)
-        for succ in cfg.succs.get(nid, ()):
+                _link(adj, stack[-1], nid, loc)
+        pushed = aug.defs.get(nid, set()) | node_phis
+        for loc in pushed:
+            stack = stacks.get(loc)
+            if stack is None:
+                stacks[loc] = [nid]
+            else:
+                stack.append(nid)
+        for succ in succs.get(nid, ()):
             for loc in phis.get(succ, ()):
                 stack = stacks.get(loc)
                 if stack:
-                    deps.add(stack[-1], succ, loc)
-        work.append((nid, True))
+                    _link(adj, stack[-1], succ, loc)
+        work.append((nid, pushed))
         for child in reversed(dom.children.get(nid, [])):
-            work.append((child, False))
+            work.append((child, None))
 
     # Phi locations behave as simultaneous def+use so downstream safety
     # condition D̂−D ⊆ Û holds; record them in the augmented sets.
@@ -259,19 +302,13 @@ def _ssa_chains(
             aug.uses.setdefault(nid, set()).update(locs)
 
 
-def _node_defs(
-    aug: AugmentedDefUse, phis: dict[int, set[AbsLoc]], nid: int
-) -> set[AbsLoc]:
-    return aug.defs.get(nid, set()) | phis.get(nid, set())
-
-
 # --------------------------------------------------------------------------
 # Intraprocedural chain generation: reaching definitions (reference)
 # --------------------------------------------------------------------------
 
 
 def _reaching_chains(
-    cfg: ProcCFG, aug: AugmentedDefUse, deps: DataDeps
+    cfg: ProcCFG, aug: AugmentedDefUse, adj: InAdjacency
 ) -> None:
     """Reference generator: classic reaching-definitions dataflow, one
     location at a time. Used to cross-check the SSA generator."""
@@ -281,11 +318,11 @@ def _reaching_chains(
         locs.update(aug.defs.get(nid, ()))
         locs.update(aug.uses.get(nid, ()))
     for loc in locs:
-        _reaching_one(cfg, aug, deps, loc)
+        _reaching_one(cfg, aug, adj, loc)
 
 
 def _reaching_one(
-    cfg: ProcCFG, aug: AugmentedDefUse, deps: DataDeps, loc: AbsLoc
+    cfg: ProcCFG, aug: AugmentedDefUse, adj: InAdjacency, loc: AbsLoc
 ) -> None:
     # IN[n] = set of definition nodes of `loc` reaching n.
     in_sets: dict[int, set[int]] = {nid: set() for nid in cfg.succs}
@@ -306,7 +343,7 @@ def _reaching_one(
             nid, ()
         ):
             for d in in_sets[nid]:
-                deps.add(d, nid, loc)
+                _link(adj, d, nid, loc)
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +355,7 @@ def _add_interproc_edges(
     program: Program,
     pre: PreAnalysis,
     defuse: DefUseInfo,
-    deps: DataDeps,
+    adj: InAdjacency,
 ) -> None:
     for node in program.nodes():
         if not isinstance(node.cmd, CCall):
@@ -336,95 +373,124 @@ def _add_interproc_edges(
             callee_cfg = program.cfgs[callee]
             if callee_cfg.entry is not None:
                 for loc in defuse.proc_uses_trans.get(callee, frozenset()):
-                    deps.add(node.nid, callee_cfg.entry.nid, loc)
+                    _link(adj, node.nid, callee_cfg.entry.nid, loc)
             if callee_cfg.exit is not None and retbind is not None:
                 for loc in defuse.proc_defs_trans.get(callee, frozenset()):
-                    deps.add(callee_cfg.exit.nid, retbind, loc)
+                    _link(adj, callee_cfg.exit.nid, retbind, loc)
 
 
 def bypass_optimization(
     deps: DataDeps, defuse: DefUseInfo, keep: set[int] | None = None
 ) -> DataDeps:
     """Rewrite ``a—l→b—l→c`` into ``a—l→c`` whenever ``l`` is neither
-    really defined nor used at ``b`` (Section 5), iterated to convergence.
-
-    Implemented as a per-location graph closure: the final relation
-    connects real definitions to real uses through pass-through-only
-    interiors. Equivalent to the paper's pairwise rewriting but runs in one
-    pass per location. Nodes in ``keep`` (widening points) are never
-    bypassed — values must keep flowing through them so the sparse engine
-    widens exactly where the dense one does.
-    """
-    keep = keep or set()
-    by_loc: dict[AbsLoc, list[tuple[int, int]]] = {}
+    really defined nor used at ``b`` (Section 5), on an explicit raw
+    relation. :func:`generate_datadeps` runs the same closure without
+    materialising ``deps``; see :func:`_bypass_closure`."""
+    adj: InAdjacency = {}
     for src, dst, loc in deps.triples():
-        by_loc.setdefault(loc, []).append((src, dst))
+        _link(adj, src, dst, loc)
+    return _bypass_closure(adj, defuse, keep or set())
 
-    out = DataDeps()
-    for loc, edges in by_loc.items():
-        succs: dict[int, list[int]] = {}
-        for src, dst in edges:
-            succs.setdefault(src, []).append(dst)
 
-        def is_passthrough(nid: int) -> bool:
-            if nid in keep:
-                return False
-            return loc not in defuse.d(nid) and loc not in defuse.u(nid)
+def _bypass_closure(
+    adj: InAdjacency, defuse: DefUseInfo, keep: set[int]
+) -> DataDeps:
+    """The bypassed relation: each real destination of ``l`` depends on
+    the real sources that reach it through pass-through nodes only.
 
-        sources = {src for src, _dst in edges if not is_passthrough(src)}
-        for source in sources:
-            seen: set[int] = set()
-            stack = list(succs.get(source, ()))
-            while stack:
-                nid = stack.pop()
-                if nid in seen:
-                    continue
-                seen.add(nid)
-                if is_passthrough(nid):
-                    stack.extend(succs.get(nid, ()))
+    The result equals the paper's pairwise rewriting iterated to
+    convergence, computed as one memoised closure per location. A node is
+    *pass-through* for ``l`` when it is not in ``keep`` (widening points
+    are never bypassed — values must keep flowing through them so the
+    sparse engine widens exactly where the dense one does) and ``l`` is in
+    neither its D̂ nor its Û; the real sources reaching a pass-through node
+    are resolved once per location (:func:`_resolve`). ``adj`` is consumed:
+    each location's adjacency is dropped as soon as it is closed.
+    """
+    real_at: dict[AbsLoc, set[int]] = {}
+    for table in (defuse.defs, defuse.uses):
+        for nid, locs in table.items():
+            for loc in locs:
+                nodes = real_at.get(loc)
+                if nodes is None:
+                    real_at[loc] = {nid}
                 else:
-                    out.add(source, nid, loc)
+                    nodes.add(nid)
+    out = DataDeps()
+    add = out.add
+    while adj:
+        loc, preds = adj.popitem()
+        real = keep | real_at.get(loc, set())
+        resolved: dict[int, set[int]] = {}
+        for dst in preds:
+            if dst not in real:
+                continue
+            for src in _sources(preds, dst):
+                if src in real:
+                    add(src, dst, loc)
+                    continue
+                sources = resolved.get(src)
+                if sources is None:
+                    sources = _resolve(src, preds, real, resolved)
+                for real_src in sources:
+                    add(real_src, dst, loc)
     return out
 
 
-def bypass_optimization_naive(
-    deps: DataDeps, defuse: DefUseInfo, keep: set[int] | None = None
-) -> DataDeps:
-    """The paper's literal pairwise rewriting, iterated until convergence.
-    Kept as a reference for tests and the ablation benchmark."""
-    keep = keep or set()
+def _resolve(
+    root: int,
+    preds: Preds,
+    real: set[int],
+    resolved: dict[int, set[int]],
+) -> set[int]:
+    """Real sources reaching pass-through node ``root`` through pass-through
+    nodes only, memoised in ``resolved`` for every node visited.
 
-    def is_real(nid: int, loc: AbsLoc) -> bool:
-        return nid in keep or loc in defuse.d(nid) or loc in defuse.u(nid)
-
-    current = DataDeps()
-    for src, dst, loc in deps.triples():
-        current.add(src, dst, loc)
-    changed = True
-    while changed:
-        changed = False
-        for src, dst, loc in list(current.triples()):
-            if is_real(dst, loc):
+    An iterative Tarjan walk over the pass-through predecessors: without
+    widening barriers, loop-head phis and recursion form pass-through
+    cycles, and every node of such a cycle resolves to the same set."""
+    number = {root: 0}
+    low = [0]
+    acc: list[set[int]] = [set()]
+    stack = [root]
+    frames = [(root, 0, iter(_sources(preds, root)))]
+    while frames:
+        node, i, it = frames[-1]
+        mine = acc[i]
+        for src in it:
+            if src in real:
+                mine.add(src)
                 continue
-            outs = [
-                dst2
-                for dst2, locs in current.out_edges(dst)
-                if loc in locs
-            ]
-            if not outs:
+            done = resolved.get(src)
+            if done is not None:
+                mine |= done
                 continue
-            current.remove(src, dst, loc)
-            for dst2 in outs:
-                if not current.has(src, dst2, loc):
-                    current.add(src, dst2, loc)
-            changed = True
-    # Drop edges that start or end at pure pass-through nodes (no real
-    # def/use survives there after rewriting).
-    cleaned = DataDeps()
-    for src, dst, loc in current.triples():
-        if is_real(src, loc) and is_real(dst, loc):
-            cleaned.add(src, dst, loc)
-    return cleaned
+            j = number.get(src)
+            if j is not None:  # still on the stack: a pass-through cycle
+                if j < low[i]:
+                    low[i] = j
+                continue
+            j = len(low)
+            number[src] = j
+            low.append(j)
+            acc.append(set())
+            stack.append(src)
+            frames.append((src, j, iter(_sources(preds, src))))
+            break
+        else:
+            frames.pop()
+            if low[i] == i:  # ``node`` heads a component: close it
+                member = stack.pop()
+                while member != node:
+                    mine |= acc[number[member]]
+                    resolved[member] = mine
+                    member = stack.pop()
+                resolved[node] = mine
+                if frames:
+                    acc[frames[-1][1]] |= mine
+            elif low[i] < low[frames[-1][1]]:
+                low[frames[-1][1]] = low[i]
+    return resolved[root]
 
 
 @dataclass
@@ -455,7 +521,7 @@ def generate_datadeps(
     """
     wps = widening_points or set()
     aug = augment_defuse(program, pre, defuse)
-    deps = DataDeps()
+    adj: InAdjacency = {}
     for cfg in program.cfgs.values():
         if cfg.entry is None:
             continue
@@ -468,15 +534,25 @@ def generate_datadeps(
                 aug.defs.setdefault(wp, set()).update(proc_locs)
                 aug.uses.setdefault(wp, set()).update(proc_locs)
         if method == "ssa":
-            _ssa_chains(cfg, aug, deps)
+            _ssa_chains(cfg, aug, adj)
         elif method == "reaching":
-            _reaching_chains(cfg, aug, deps)
+            _reaching_chains(cfg, aug, adj)
         else:
             raise ValueError(f"unknown chain generator {method!r}")
-    _add_interproc_edges(program, pre, defuse, deps)
-    raw = len(deps)
+    _add_interproc_edges(program, pre, defuse, adj)
+    raw = sum(
+        1 if type(srcs) is int else len(srcs)
+        for preds in adj.values()
+        for srcs in preds.values()
+    )
     if bypass:
-        deps = bypass_optimization(deps, defuse, keep=wps)
+        deps = _bypass_closure(adj, defuse, wps)
+    else:
+        deps = DataDeps()
+        for loc, preds in adj.items():
+            for dst in preds:
+                for src in _sources(preds, dst):
+                    deps.add(src, dst, loc)
     if telemetry is not None and telemetry.enabled:
         telemetry.count("dep.generated", raw)
         telemetry.count("dep.bypassed", raw - len(deps))

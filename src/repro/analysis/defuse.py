@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.preanalysis import PreAnalysis
+from repro.analysis.schedule import _tarjan_sccs
 from repro.analysis.semantics import AccessLog, AnalysisContext, transfer
 from repro.domains.absloc import AbsLoc, RetLoc, VarLoc
 from repro.ir.commands import CCall, CRetBind
@@ -83,55 +84,62 @@ def compute_defuse(program: Program, pre: PreAnalysis) -> DefUseInfo:
         info.uses[node.nid] = frozenset(log.used)
         info.strong_defs[node.nid] = frozenset(log.strong_defined)
 
-    by_proc_defs: dict[str, set[AbsLoc]] = {p: set() for p in program.procedures()}
-    by_proc_uses: dict[str, set[AbsLoc]] = {p: set() for p in program.procedures()}
-    for node in program.nodes():
-        by_proc_defs[node.proc].update(info.defs[node.nid])
-        by_proc_uses[node.proc].update(info.uses[node.nid])
-    info.proc_defs = {p: frozenset(s) for p, s in by_proc_defs.items()}
-    info.proc_uses = {p: frozenset(s) for p, s in by_proc_uses.items()}
-
-    # Transitive closure over the (possibly cyclic) call graph by chaotic
-    # iteration — cheap because summaries only grow.
-    calls: dict[str, set[str]] = {p: set() for p in program.procedures()}
-    for node in program.nodes():
-        if isinstance(node.cmd, CCall):
-            for callee in pre.site_callees.get(node.nid, ()):
-                calls[node.proc].add(callee)
-    trans_defs = {p: set(s) for p, s in by_proc_defs.items()}
-    trans_uses = {p: set(s) for p, s in by_proc_uses.items()}
-    trans_callees: dict[str, set[str]] = {
-        p: {p} | calls.get(p, set()) for p in program.procedures()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for caller, callees in calls.items():
-            for callee in callees:
-                before = (
-                    len(trans_defs[caller])
-                    + len(trans_uses[caller])
-                    + len(trans_callees[caller])
-                )
-                trans_defs[caller].update(trans_defs.get(callee, ()))
-                trans_uses[caller].update(trans_uses.get(callee, ()))
-                trans_callees[caller].update(trans_callees.get(callee, ()))
-                after = (
-                    len(trans_defs[caller])
-                    + len(trans_uses[caller])
-                    + len(trans_callees[caller])
-                )
-                if after != before:
-                    changed = True
-    info.proc_defs_trans = {p: frozenset(s) for p, s in trans_defs.items()}
-    info.proc_uses_trans = {p: frozenset(s) for p, s in trans_uses.items()}
-    info.proc_callees_trans = {p: frozenset(s) for p, s in trans_callees.items()}
-    _compute_must_defs(program, pre, info)
+    sccs = close_proc_summaries(program, pre, info)
+    _compute_must_defs(program, pre, info, sccs)
     return info
 
 
-def _compute_must_defs(
+def close_proc_summaries(
     program: Program, pre: PreAnalysis, info: DefUseInfo
+) -> list[tuple[list[str], bool]]:
+    """Fill the procedure summaries from the node-level D̂/Û: each body's
+    own definitions and uses, then their closure over transitive callees.
+
+    The closure is one bottom-up pass over the SCCs of the call graph,
+    callees first; the members of a recursive SCC reach each other, so they
+    share one summary. Returns those SCCs as ``(members, recursive)``."""
+    procs = program.procedures()
+    own_defs: dict[str, set] = {p: set() for p in procs}
+    own_uses: dict[str, set] = {p: set() for p in procs}
+    calls: dict[str, set[str]] = {p: set() for p in procs}
+    for node in program.nodes():
+        own_defs[node.proc].update(info.defs[node.nid])
+        own_uses[node.proc].update(info.uses[node.nid])
+        if isinstance(node.cmd, CCall):
+            calls[node.proc].update(pre.site_callees.get(node.nid, ()))
+    info.proc_defs = {p: frozenset(s) for p, s in own_defs.items()}
+    info.proc_uses = {p: frozenset(s) for p, s in own_uses.items()}
+
+    trans_defs: dict[str, frozenset] = {}
+    trans_uses: dict[str, frozenset] = {}
+    trans_callees: dict[str, frozenset[str]] = {}
+    sccs = _tarjan_sccs(procs, calls, None)
+    for members, _recursive in sccs:
+        defs: set = set()
+        uses: set = set()
+        callees: set[str] = set(members)
+        for proc in members:
+            defs.update(own_defs.get(proc, ()))
+            uses.update(own_uses.get(proc, ()))
+            for callee in calls.get(proc, ()):
+                if callee in trans_callees:  # a finished, lower SCC
+                    defs.update(trans_defs[callee])
+                    uses.update(trans_uses[callee])
+                    callees.update(trans_callees[callee])
+        frozen = (frozenset(defs), frozenset(uses), frozenset(callees))
+        for proc in members:
+            trans_defs[proc], trans_uses[proc], trans_callees[proc] = frozen
+    info.proc_defs_trans = {p: trans_defs[p] for p in procs}
+    info.proc_uses_trans = {p: trans_uses[p] for p in procs}
+    info.proc_callees_trans = {p: trans_callees[p] for p in procs}
+    return sccs
+
+
+def _compute_must_defs(
+    program: Program,
+    pre: PreAnalysis,
+    info: DefUseInfo,
+    sccs: list[tuple[list[str], bool]],
 ) -> None:
     """Interprocedural must-def analysis.
 
@@ -140,21 +148,25 @@ def _compute_must_defs(
     A call kills exactly these, so a definition before a call that always
     overwrites ``l`` does not spuriously flow past the return site.
 
-    Greatest fixpoint: procedure summaries start at their may-def sets and
-    shrink; within a procedure a standard all-paths forward intersection
-    runs over the CFG.
+    Greatest fixpoint, solved bottom-up over the call graph's SCCs: a
+    procedure outside recursion reads only finished callee summaries and
+    is solved once; the members of a recursive SCC start at their may-def
+    sets and shrink together. Within a procedure a standard all-paths
+    forward intersection runs over the CFG.
     """
     must: dict[str, frozenset[AbsLoc]] = {
         p: info.proc_defs_trans.get(p, frozenset()) for p in program.procedures()
     }
-    changed = True
-    while changed:
-        changed = False
-        for proc, cfg in program.cfgs.items():
-            new = _proc_must(program, pre, info, must, proc)
-            if new != must[proc]:
-                must[proc] = new
-                changed = True
+    for members, recursive in sccs:
+        members = [p for p in members if p in program.cfgs]
+        changed = True
+        while changed:
+            changed = False
+            for proc in members:
+                new = _proc_must(program, pre, info, must, proc)
+                if new != must[proc]:
+                    must[proc] = new
+                    changed = recursive
     info.proc_must_defs = must
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.analysis.datadep import generate_datadeps
-from repro.analysis.defuse import DefUseInfo
+from repro.analysis.defuse import DefUseInfo, close_proc_summaries
 from repro.analysis.dense import EnginePlan, build_interproc_graph
 from repro.analysis.engine import (
     CellOps,
@@ -628,44 +628,7 @@ def compute_rel_defuse(
         info.uses[node.nid] = frozenset(log.used)
         info.strong_defs[node.nid] = frozenset()
 
-    by_defs: dict[str, set] = {p: set() for p in program.procedures()}
-    by_uses: dict[str, set] = {p: set() for p in program.procedures()}
-    for node in program.nodes():
-        by_defs[node.proc].update(info.defs[node.nid])
-        by_uses[node.proc].update(info.uses[node.nid])
-    info.proc_defs = {p: frozenset(s) for p, s in by_defs.items()}
-    info.proc_uses = {p: frozenset(s) for p, s in by_uses.items()}
-
-    calls: dict[str, set[str]] = {p: set() for p in program.procedures()}
-    for node in program.nodes():
-        if isinstance(node.cmd, CCall):
-            for callee in pre.site_callees.get(node.nid, ()):
-                calls[node.proc].add(callee)
-    trans_defs = {p: set(s) for p, s in by_defs.items()}
-    trans_uses = {p: set(s) for p, s in by_uses.items()}
-    trans_callees = {p: {p} | calls.get(p, set()) for p in program.procedures()}
-    changed = True
-    while changed:
-        changed = False
-        for caller, callees in calls.items():
-            for callee in callees:
-                before = (
-                    len(trans_defs[caller])
-                    + len(trans_uses[caller])
-                    + len(trans_callees[caller])
-                )
-                trans_defs[caller].update(trans_defs.get(callee, ()))
-                trans_uses[caller].update(trans_uses.get(callee, ()))
-                trans_callees[caller].update(trans_callees.get(callee, ()))
-                if (
-                    len(trans_defs[caller])
-                    + len(trans_uses[caller])
-                    + len(trans_callees[caller])
-                ) != before:
-                    changed = True
-    info.proc_defs_trans = {p: frozenset(s) for p, s in trans_defs.items()}
-    info.proc_uses_trans = {p: frozenset(s) for p, s in trans_uses.items()}
-    info.proc_callees_trans = {p: frozenset(s) for p, s in trans_callees.items()}
+    close_proc_summaries(program, pre, info)
     info.proc_must_defs = {p: frozenset() for p in program.procedures()}
     return info
 

@@ -1,18 +1,26 @@
 """Data-dependency generation: SSA vs reaching-defs, interprocedural edges,
 and the bypass optimization."""
 
+import os
+
 import pytest
 
-from repro.analysis.datadep import (
-    DataDeps,
-    bypass_optimization,
-    bypass_optimization_naive,
-    generate_datadeps,
-)
+from repro.analysis.datadep import DataDeps, bypass_optimization, generate_datadeps
 from repro.analysis.defuse import compute_defuse
+from repro.analysis.dense import build_interproc_graph
 from repro.analysis.preanalysis import run_preanalysis
+from repro.analysis.relational import RelContext, compute_rel_defuse
+from repro.analysis.schedule import GraphView, _tarjan_sccs, widening_points_for
+from repro.bench.codegen import default_suite, generate_source, octagon_suite
 from repro.domains.absloc import RetLoc, VarLoc
+from repro.domains.packs import build_packs
 from repro.ir.program import build_program
+from tests.analysis.datadep_oracle import bypass_pairwise
+from tests.conftest import EXAMPLE_FILES, program_of_file, random_spec, upto
+
+#: number of random programs; CI's fuzz-smoke step lowers this via the
+#: environment to stay inside its time budget.
+N_SEEDS = int(os.environ.get("REPRO_FUZZ_SEEDS", "25"))
 
 
 def setup(src):
@@ -50,6 +58,20 @@ class TestDataDepsContainer:
         d.add(1, 2, VarLoc("x"))
         d.remove(1, 2, VarLoc("x"))
         assert len(d) == 0 and not d.has(1, 2, VarLoc("x"))
+
+    def test_remove_one_of_several_locations(self):
+        """Both indexes share one location set per pair: removing a
+        location updates both views and the count exactly once."""
+        d = DataDeps()
+        d.add(1, 2, VarLoc("x"))
+        d.add(1, 2, VarLoc("y"))
+        d.remove(1, 2, VarLoc("x"))
+        d.remove(1, 2, VarLoc("x"))
+        assert len(d) == 1
+        assert dict(d.out_edges(1)) == {2: {VarLoc("y")}}
+        assert dict(d.in_edges(2)) == {1: {VarLoc("y")}}
+        d.remove(1, 2, VarLoc("y"))
+        assert len(d) == 0 and d.out_edges(1) == [] and d.in_edges(2) == []
 
     def test_edges_grouped_by_pair(self):
         d = DataDeps()
@@ -236,8 +258,7 @@ class TestBypassOptimization:
         program, pre, du = setup(src)
         raw = generate_datadeps(program, pre, du, bypass=False).deps
         fast = bypass_optimization(raw, du)
-        slow = bypass_optimization_naive(raw, du)
-        assert set(fast.triples()) == set(slow.triples())
+        assert set(fast.triples()) == bypass_pairwise(raw.triples(), du)
 
     def test_bypass_reduces_edge_count(self):
         src = """
@@ -264,3 +285,111 @@ class TestBypassOptimization:
         assert collapsed.has(1, 3, x) and not collapsed.has(1, 2, x)
         kept = bypass_optimization(d, du, keep={2})
         assert kept.has(1, 2, x) and kept.has(2, 3, x)
+
+
+# -- the one-pass closure vs. the raw relation and the pairwise oracle ---------
+
+
+def _widening_points(program, pre, widen):
+    graph = build_interproc_graph(program, pre.site_callees, localized=False)
+    view = GraphView((program.entry_node().nid,), graph.succs)
+    return widening_points_for(view, widen)[1]
+
+
+def assert_one_pass_matches(program, pre, defuse):
+    """``generate_datadeps`` never builds the raw relation when bypassing;
+    its result must equal closing the raw relation afterwards, and the
+    paper's pairwise rewriting, for both chain generators, with and
+    without widening barriers."""
+    for widen in (True, False):
+        wps = _widening_points(program, pre, widen)
+        for method in ("ssa", "reaching"):
+            raw = generate_datadeps(
+                program, pre, defuse, method=method, bypass=False,
+                widening_points=wps,
+            )
+            final = generate_datadeps(
+                program, pre, defuse, method=method, bypass=True,
+                widening_points=wps,
+            )
+            triples = set(final.deps.triples())
+            assert len(triples) == len(final.deps)
+            assert triples == set(
+                bypass_optimization(raw.deps, defuse, keep=wps).triples()
+            )
+            assert triples == bypass_pairwise(raw.deps.triples(), defuse, wps)
+            assert final.raw_dep_count == raw.raw_dep_count == len(raw.deps)
+
+
+def _interval(program):
+    pre = run_preanalysis(program)
+    return program, pre, compute_defuse(program, pre)
+
+
+def _octagon(program):
+    pre = run_preanalysis(program)
+    ctx = RelContext(program, pre, build_packs(program))
+    return program, pre, compute_rel_defuse(program, pre, ctx)
+
+
+def _passthrough_cycle(raw, defuse, keep) -> bool:
+    """Whether some location's pass-through nodes form a cycle."""
+    succs: dict = {}
+    for src, dst, loc in raw.triples():
+        if all(
+            n not in keep and loc not in defuse.d(n) and loc not in defuse.u(n)
+            for n in (src, dst)
+        ):
+            succs.setdefault((src, loc), []).append((dst, loc))
+    return any(cyclic for _, cyclic in _tarjan_sccs(list(succs), succs, None))
+
+
+class TestOnePassClosure:
+    @pytest.mark.parametrize(
+        "spec", upto(default_suite(), "make-mini"), ids=lambda s: s.name
+    )
+    def test_interval_rungs(self, spec):
+        assert_one_pass_matches(*_interval(build_program(generate_source(spec))))
+
+    @pytest.mark.parametrize(
+        "spec", upto(octagon_suite(), "make-oct"), ids=lambda s: s.name
+    )
+    def test_octagon_pack_rungs(self, spec):
+        assert_one_pass_matches(*_octagon(build_program(generate_source(spec))))
+
+    @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.name)
+    def test_example_files(self, path):
+        assert_one_pass_matches(*_interval(program_of_file(path)))
+
+    @pytest.mark.parametrize("seed", [13 * i + 5 for i in range(N_SEEDS)])
+    def test_random_programs(self, seed):
+        program = build_program(generate_source(random_spec(seed)))
+        assert_one_pass_matches(*_interval(program))
+
+    def test_passthrough_cycle_without_widening(self):
+        """Nested loops put pass-through phis for ``g`` on both heads, and
+        a branch puts one on the inner join: without widening barriers the
+        heads and the join form a pass-through cycle, which the closure must
+        resolve to the same sources on every member."""
+        program, pre, du = _interval(build_program("""
+        int g;
+        int main(void) {
+          int i; int j; int c;
+          for (i = 0; i < 3; i++) {
+            for (j = 0; j < 2; j++) {
+              if (c > j) g = i;
+            }
+          }
+          return g;
+        }
+        """))
+        raw = generate_datadeps(program, pre, du, bypass=False)
+        assert _passthrough_cycle(raw.deps, du, set())
+        assert_one_pass_matches(program, pre, du)
+        deps = generate_datadeps(program, pre, du).deps
+        ret = node(program, "return g").nid
+        sources = {src for src, locs in deps.in_edges(ret) if VarLoc("g") in locs}
+        assert sources == {
+            node(program, "g := main::i").nid,
+            node(program, "g := 0", "__init").nid,  # the global's initialiser
+        }

@@ -1,9 +1,22 @@
 """D̂/Û approximation tests (Sections 2.5 and 3.2)."""
 
+import os
+
+import pytest
+
 from repro.analysis.defuse import compute_defuse, localization_set
 from repro.analysis.preanalysis import run_preanalysis
+from repro.analysis.relational import RelContext, compute_rel_defuse
+from repro.bench.codegen import default_suite, generate_source, octagon_suite
 from repro.domains.absloc import AllocLoc, RetLoc, VarLoc
+from repro.domains.packs import build_packs
 from repro.ir.program import build_program
+from tests.analysis.summary_oracle import must_defs_oracle, summaries_oracle
+from tests.conftest import EXAMPLE_FILES, program_of_file, random_spec
+
+#: number of random programs; CI's fuzz-smoke step lowers this via the
+#: environment to stay inside its time budget.
+N_SEEDS = int(os.environ.get("REPRO_FUZZ_SEEDS", "25"))
 
 
 def setup(src):
@@ -199,3 +212,72 @@ class TestSafety:
         assert VarLoc("g") in passed
         assert RetLoc("touch_g") in passed
         assert VarLoc("h") not in passed
+
+
+# -- bottom-up SCC summaries vs. the chaotic whole-program loops --------------
+
+
+def assert_summaries_match(program):
+    """Every summary field, for the interval D̂/Û and the pack D̂/Û."""
+    pre = run_preanalysis(program)
+    du = compute_defuse(program, pre)
+    for field, expected in summaries_oracle(program, pre, du).items():
+        assert getattr(du, field) == expected, field
+    assert du.proc_must_defs == must_defs_oracle(program, pre, du)
+    ctx = RelContext(program, pre, build_packs(program))
+    rel = compute_rel_defuse(program, pre, ctx)
+    for field, expected in summaries_oracle(program, pre, rel).items():
+        assert getattr(rel, field) == expected, field
+    assert rel.proc_must_defs == {p: frozenset() for p in program.procedures()}
+    return du
+
+
+class TestSummariesMatchOracle:
+    @pytest.mark.parametrize(
+        "spec", default_suite() + octagon_suite(), ids=lambda s: s.name
+    )
+    def test_codegen_rungs(self, spec):
+        assert_summaries_match(build_program(generate_source(spec)))
+
+    @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.name)
+    def test_example_files(self, path):
+        assert_summaries_match(program_of_file(path))
+
+    @pytest.mark.parametrize("seed", [17 * i + 2 for i in range(N_SEEDS)])
+    def test_random_programs(self, seed):
+        assert_summaries_match(build_program(generate_source(random_spec(seed))))
+
+    def test_mutual_recursion_shares_one_summary(self):
+        program = build_program(
+            """
+            int a; int b;
+            int odd(int n);
+            int even(int n) { a = n; if (n > 0) return odd(n - 1); return 1; }
+            int odd(int n) { b = n; if (n > 0) return even(n - 1); return 0; }
+            int main(void) { return even(4); }
+            """
+        )
+        du = assert_summaries_match(program)
+        assert du.proc_defs_trans["even"] == du.proc_defs_trans["odd"]
+        assert {VarLoc("a"), VarLoc("b")} <= du.proc_defs_trans["main"]
+        assert du.proc_callees_trans["main"] == {"main", "even", "odd"}
+        assert VarLoc("a") in du.proc_must_defs["even"]
+        assert VarLoc("b") not in du.proc_must_defs["even"]
+
+    def test_recursive_scc_shrinks_together(self):
+        """Every path of ``p`` runs through ``q``: solved first, ``p`` reads
+        ``q``'s unshrunk may-def start and keeps ``b``, which ``q``'s base
+        case never writes. Only re-solving the SCC drops it again."""
+        program = build_program(
+            """
+            int a; int b;
+            int q(int n);
+            int p(int n) { return q(n); }
+            int q(int n) { if (n > 0) { b = n; return p(n - 1); } a = 1; return 0; }
+            int main(void) { return p(3); }
+            """
+        )
+        du = assert_summaries_match(program)
+        for proc in ("p", "q"):
+            assert VarLoc("a") in du.proc_must_defs[proc]
+            assert VarLoc("b") not in du.proc_must_defs[proc]

@@ -1,23 +1,16 @@
 """Flow-insensitive pre-analysis tests."""
 
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.preanalysis import run_preanalysis
-from repro.bench.codegen import (
-    WorkloadSpec,
-    default_suite,
-    generate_source,
-    octagon_suite,
-)
+from repro.bench.codegen import default_suite, generate_source, octagon_suite
 from repro.domains.absloc import FuncLoc, VarLoc
 from repro.domains.state import set_store_backend
-from repro.frontend.errors import DiagnosticBag
-from repro.frontend.preprocessor import preprocess
 from repro.ir.program import build_program
 from tests.analysis.preanalysis_oracle import run_preanalysis_oracle
+from tests.conftest import EXAMPLE_FILES, program_of_file, random_spec, upto
 
 
 def pre_of(src):
@@ -135,45 +128,9 @@ class TestCallGraphResolution:
 
 # -- semi-naïve rounds vs. the naïve oracle ------------------------------------
 
-REPO = Path(__file__).resolve().parents[2]
-
 #: number of random programs; CI's fuzz-smoke step lowers this via the
 #: environment to stay inside its time budget.
 N_SEEDS = int(os.environ.get("REPRO_FUZZ_SEEDS", "25"))
-
-
-def _upto(suite, last):
-    names = [spec.name for spec in suite]
-    return suite[: names.index(last) + 1]
-
-
-def _program_of_file(path: Path):
-    """Corpus files go through the preprocessor and frontend recovery, as
-    ``repro batch --cpp`` runs them; ``examples/c`` files parse as is."""
-    if path.parent.name != "corpus":
-        return build_program(path.read_text(), str(path))
-    bag = DiagnosticBag()
-    source = preprocess(path.read_text(), str(path), diagnostics=bag)
-    return build_program(source, str(path), diagnostics=bag)
-
-
-def _random_spec(seed: int) -> WorkloadSpec:
-    """Loops, a recursion cycle and a function-pointer dispatch site: the
-    shapes that keep the global state moving for several rounds."""
-    return WorkloadSpec(
-        name=f"pre{seed}",
-        n_functions=6,
-        n_globals=4,
-        n_arrays=1,
-        array_len=8,
-        stmts_per_function=6,
-        loops_per_function=1,
-        calls_per_function=2,
-        pointer_ops_per_function=1,
-        recursion_cycle=2,
-        funcptr_sites=1,
-        seed=seed,
-    )
 
 
 def _cells(pre):
@@ -190,10 +147,7 @@ def assert_matches_oracle(program):
     return pre, oracle
 
 
-SUITE = _upto(default_suite(), "make-mini") + _upto(octagon_suite(), "tar-oct")
-FILES = sorted((REPO / "examples" / "corpus").glob("*.c")) + sorted(
-    (REPO / "examples" / "c").glob("*.c")
-)
+SUITE = upto(default_suite(), "make-mini") + upto(octagon_suite(), "tar-oct")
 
 
 class TestSemiNaiveMatchesOracle:
@@ -202,19 +156,19 @@ class TestSemiNaiveMatchesOracle:
         assert_matches_oracle(build_program(generate_source(spec)))
 
     @pytest.mark.parametrize("store", ["array", "scalar"])
-    @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.name)
     def test_example_files(self, path, store):
         """Both stores: their ``delta_items`` detect change differently
         (bound rows by value, scalar entries by identity)."""
         previous = set_store_backend(store)
         try:
-            assert_matches_oracle(_program_of_file(path))
+            assert_matches_oracle(program_of_file(path))
         finally:
             set_store_backend(previous)
 
     @pytest.mark.parametrize("seed", [11 * i + 3 for i in range(N_SEEDS)])
     def test_random_programs(self, seed):
-        spec = _random_spec(seed)
+        spec = random_spec(seed)
         assert_matches_oracle(build_program(generate_source(spec)))
 
     def test_indirect_callee_set_grows_late(self):

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.dense import DenseResult, run_dense
 from repro.analysis.preanalysis import PreAnalysis, run_preanalysis
 from repro.analysis.sparse import SparseResult, run_sparse
+from repro.bench.codegen import WorkloadSpec
 from repro.domains.value import BOT as VALUE_BOT
+from repro.frontend.errors import DiagnosticBag
+from repro.frontend.preprocessor import preprocess
 from repro.ir.program import Program, build_program
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: every vendored C file: the corpus, then the hand-written examples
+EXAMPLE_FILES = sorted((REPO / "examples" / "corpus").glob("*.c")) + sorted(
+    (REPO / "examples" / "c").glob("*.c")
+)
 
 
 def build(src: str) -> tuple[Program, PreAnalysis]:
@@ -43,6 +55,43 @@ def collect_mismatches(
             if dv != sv:
                 out.append((nid, str(program.node(nid).cmd), str(loc), dv, sv))
     return out
+
+
+def upto(suite: list, last: str) -> list:
+    """The workload specs of ``suite`` up to and including ``last``."""
+    names = [spec.name for spec in suite]
+    return suite[: names.index(last) + 1]
+
+
+def random_spec(seed: int) -> WorkloadSpec:
+    """A random program with loops, a recursion cycle and a
+    function-pointer dispatch site: the shapes that keep the pre-analysis
+    moving for several rounds, make recursive call-graph SCCs and, without
+    widening, pass-through dependency cycles."""
+    return WorkloadSpec(
+        name=f"pre{seed}",
+        n_functions=6,
+        n_globals=4,
+        n_arrays=1,
+        array_len=8,
+        stmts_per_function=6,
+        loops_per_function=1,
+        calls_per_function=2,
+        pointer_ops_per_function=1,
+        recursion_cycle=2,
+        funcptr_sites=1,
+        seed=seed,
+    )
+
+
+def program_of_file(path: Path) -> Program:
+    """Corpus files go through the preprocessor and frontend recovery, as
+    ``repro batch --cpp`` runs them; ``examples/c`` files parse as is."""
+    if path.parent.name != "corpus":
+        return build_program(path.read_text(), str(path))
+    bag = DiagnosticBag()
+    source = preprocess(path.read_text(), str(path), diagnostics=bag)
+    return build_program(source, str(path), diagnostics=bag)
 
 
 def exit_nid(program: Program, proc: str = "main") -> int:
