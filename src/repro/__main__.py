@@ -67,10 +67,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.store is not None:
-        from repro.domains.state import set_store_backend
-
-        set_store_backend(args.store)
     options = {
         "preprocess_source": args.cpp,
         "inline": args.inline,
@@ -427,11 +423,6 @@ def main(argv: list[str] | None = None) -> int:
         "--scheduler", choices=["wto", "fifo"], default="wto",
         help="fixpoint visit order: weak topological order (default) or "
         "the FIFO baseline",
-    )
-    p_analyze.add_argument(
-        "--store", choices=["array", "scalar"], default=None,
-        help="interval-state storage backend: vectorized numpy arrays "
-        "(default) or the scalar dict reference (A/B comparisons)",
     )
     p_analyze.add_argument(
         "--narrow", type=int, default=2, metavar="N",

@@ -381,8 +381,6 @@ class IntervalCells(CellOps):
         return out.copy()
 
     def push(self, cache, touched, out) -> bool:
-        # the array backend joins plain bound rows without materializing
-        # AbsValues; the scalar backend runs the historical per-loc loop
         return cache.join_entries_from(out, touched)
 
     def assemble(self, in_edges, table) -> AbsState:

@@ -35,6 +35,11 @@ writes the same values as at its last run; those are already ⊑ the round's
 accumulator, and ``x.join(v) == x.widen(v) == x`` whenever ``v ⊑ x``. The
 global state, the resolved call graph and the round count are therefore
 those of the naïve fold that re-runs every node every round.
+
+Within a round, a node's output joins into the accumulator only at the
+locations its transfer logged as defined. That is exact too: every write
+of :func:`~repro.analysis.semantics.transfer` is logged, and every entry
+it did not write is the same object as in the input (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from dataclasses import dataclass, field
 from repro.analysis.engine import FixpointEngine, OnePointSpace
 from repro.domains.absloc import AbsLoc
 from repro.domains.state import AbsState
+from repro.domains.value import BOT
 from repro.ir.cfg import Node
 from repro.ir.commands import CAssume, CCall
 from repro.ir.program import Program
@@ -130,9 +136,13 @@ def run_preanalysis(
                 readers.setdefault(loc, set()).add(i)
             if out is None:
                 continue
-            # Join only entries the transfer actually changed (value objects
-            # are shared by copy-on-write, so identity comparison suffices).
-            for loc, value in out.delta_items(state):
+            # Join only what the transfer wrote (see the module docstring):
+            # an entry it left alone is the same object as in ``state``,
+            # and a removed entry (⊥) adds nothing.
+            for loc in log.defined:
+                value = out.get(loc)
+                if value is BOT or value is state.get(loc):
+                    continue
                 old = acc.get(loc)
                 new = old.widen(value) if widening else old.join(value)
                 if new != old:

@@ -37,45 +37,6 @@ class AbsLoc:
         return False
 
 
-# -- dense location ids -----------------------------------------------------
-#
-# The array-backed stores (:mod:`repro.domains.state`) index their bound
-# vectors by a dense integer id per location. Ids are minted on first write
-# and never recycled — the registry is bounded by the number of distinct
-# locations the analysis ever mentions, and equal locations (even distinct
-# objects) share one id, so :func:`loc_of_id` returns a canonical
-# representative that is ``==`` to every alias.
-
-_LOC_IDS: dict[AbsLoc, int] = {}
-_ID_LOCS: list[AbsLoc] = []
-
-
-def loc_id(loc: AbsLoc) -> int:
-    """The dense integer id of ``loc``, assigned on first use."""
-    found = _LOC_IDS.get(loc)
-    if found is None:
-        found = len(_ID_LOCS)
-        _LOC_IDS[loc] = found
-        _ID_LOCS.append(loc)
-    return found
-
-
-def peek_loc_id(loc: AbsLoc) -> int | None:
-    """The id of ``loc`` if it already has one — read paths must not mint
-    fresh ids for locations no state has ever stored."""
-    return _LOC_IDS.get(loc)
-
-
-def loc_of_id(i: int) -> AbsLoc:
-    """The canonical location registered under id ``i``."""
-    return _ID_LOCS[i]
-
-
-def loc_id_count() -> int:
-    """How many ids exist — cache-invalidation stamp for id-set caches."""
-    return len(_ID_LOCS)
-
-
 @dataclass(frozen=True, order=False)
 class VarLoc(AbsLoc):
     """A program variable; ``proc`` None means global."""

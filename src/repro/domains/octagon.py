@@ -215,7 +215,9 @@ class Octagon:
     @property
     def matrix(self):
         """The dense DBM (numpy ``float64``, +∞ for absent entries), built
-        on demand for renderers; None for ⊥."""
+        on demand for renderers (the layered benchmark's oracle and the
+        tests); None for ⊥. numpy is imported here, on first use, so no
+        analysis loads it."""
         if self.empty:
             return None
         import numpy as np

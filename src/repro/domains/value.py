@@ -116,16 +116,6 @@ def set_interning(enabled: bool) -> None:
     clear_intern_tables()
 
 
-#: callbacks run whenever the intern tables clear — dependent caches (the
-#: array store's bound→value cache) register here so they never outlive the
-#: canonical instances they were built from
-_on_clear_hooks: list = []
-
-
-def register_intern_clear_hook(hook) -> None:
-    _on_clear_hooks.append(hook)
-
-
 def clear_intern_tables() -> None:
     _interned.clear()
     _interned_itvs.clear()
@@ -134,17 +124,14 @@ def clear_intern_tables() -> None:
 
 
 def _clear_memos() -> None:
-    """Drop the join/widen memos (and dependent caches) together with any
-    intern-table clear. A memo entry maps *canonical* operands to a
-    *canonical* result; once a table clears, a structurally-equal value can
-    be re-interned as a different object, so keeping the old entries would
-    hand out stale non-canonical results — correct, but it defeats every
-    identity fast path downstream and pins dead generations of values
-    alive."""
+    """Drop the join/widen memos together with any intern-table clear.
+    A memo entry maps *canonical* operands to a *canonical* result; once a
+    table clears, a structurally-equal value can be re-interned as a
+    different object, so keeping the old entries would hand out stale
+    non-canonical results — correct, but it defeats every identity fast
+    path downstream and pins dead generations of values alive."""
     _join_memo.clear()
     _widen_memo.clear()
-    for hook in _on_clear_hooks:
-        hook()
 
 
 def cache_stats() -> tuple[int, int]:

@@ -179,11 +179,9 @@ def octagon_from_wire(wire: dict):
 def state_to_wire(state) -> list:
     """Tagged encoding for either table-state flavour: ``["abs", ...]`` for
     :class:`AbsState`, ``["pack", ...]`` for :class:`PackState`. Entries are
-    sorted by location/pack sort key, so the encoding is canonical — and
-    storage-backend independent: both the array and scalar ``AbsState``
-    backends serialize through ``items()`` to the same wire bytes, and
-    decoding rebuilds the *active* backend, so checkpoints written under
-    one backend resume cleanly under the other."""
+    sorted by location/pack sort key, so the encoding is canonical: equal
+    states give the same wire bytes whatever order their entries were
+    written in."""
     if isinstance(state, AbsState):
         return [
             "abs",

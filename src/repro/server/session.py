@@ -110,8 +110,8 @@ class ResidentAnalysis:
 
     def approx_bytes(self) -> int:
         """Resident footprint estimate: the wire-encoded size of every
-        table cell (backend-independent, and exactly what a snapshot of
-        this combo would cost). Memoized until the table changes."""
+        table cell (exactly what a snapshot of this combo would cost).
+        Memoized until the table changes."""
         if self.bytes_cache is None:
             total = 0
             for state in self.table.values():

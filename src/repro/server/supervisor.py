@@ -691,7 +691,12 @@ def serve_supervised_stdio(sup: Supervisor, stdin, stdout) -> int:
             stdout.write(line + "\n")
             stdout.flush()
 
-    pending: queuelib.Queue = queuelib.Queue()
+    # SimpleQueue, not Queue: the signal handlers raise in this thread, and
+    # an exception raised inside Queue.get's Condition.wait can leave its
+    # mutex released, so the ``with`` around it fails with "release
+    # unlocked lock" instead of unwinding as AnalysisInterrupted. The C
+    # SimpleQueue keeps no Python-level lock state to corrupt.
+    pending: queuelib.SimpleQueue = queuelib.SimpleQueue()
 
     def reader() -> None:
         try:
@@ -732,7 +737,7 @@ def serve_supervised_socket(sup: Supervisor, path: str) -> int:
     from repro.server.protocol import prepare_socket_path
 
     prepare_socket_path(path)
-    pending: queuelib.Queue = queuelib.Queue()
+    pending: queuelib.SimpleQueue = queuelib.SimpleQueue()  # as in stdio
     stop = threading.Event()
     handled = 0
 

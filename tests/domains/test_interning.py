@@ -135,31 +135,6 @@ def test_overflow_clears_memo_caches_with_tables():
         clear_intern_tables()
 
 
-def test_clear_hooks_run_on_overflow_and_explicit_clear():
-    """Dependent caches (e.g. the array store's bounds→value cache) register
-    hooks that must fire on both overflow- and explicit clears."""
-    import repro.domains.value as V
-
-    calls = []
-    V.register_intern_clear_hook(lambda: calls.append("hook"))
-    try:
-        clear_intern_tables()
-        assert calls, "explicit clear must run registered hooks"
-        calls.clear()
-        old_limit = V._INTERN_LIMIT
-        V._INTERN_LIMIT = 4
-        try:
-            for i in range(16):
-                intern_value(AbsValue.of_interval(Interval(i, i)))
-            assert calls, "overflow clear must run registered hooks"
-        finally:
-            V._INTERN_LIMIT = old_limit
-            clear_intern_tables()
-    finally:
-        V._on_clear_hooks.pop()
-        clear_intern_tables()
-
-
 def test_results_identical_with_and_without_interning():
     """End-to-end ablation: interning is invisible in the computed tables."""
     from repro.api import analyze

@@ -1,11 +1,12 @@
-"""Property-based equivalence: the vectorized array-backed store must be
-observationally identical to the scalar dict reference.
+"""Property-based store laws: :class:`AbsState` must behave exactly like a
+plain ``dict`` of :class:`AbsValue` with ⊥ entries left out.
 
 Every lattice operation, changed-set extraction, restriction and codec
-round-trip is exercised on randomized states covering ⊥ entries, ±∞ and
-out-of-int64 bounds, pointer payloads and array blocks — the array backend
-must agree with :class:`ScalarAbsState` on all of them, including when the
-two backends are mixed in one operation (checkpoint resume can do that).
+round-trip is checked on randomized states covering ⊥ entries, ±∞ and
+bounds beyond int64, pointer payloads and array blocks, against the
+pointwise definition on the dict model. Every operation must also keep the
+store's invariant: each stored value is non-⊥ and the interned instance,
+which the identity fast paths and ``delta_items`` rely on.
 """
 
 from hypothesis import given, settings
@@ -13,14 +14,8 @@ from hypothesis import strategies as st
 
 from repro.domains.absloc import AllocLoc, FieldLoc, RetLoc, VarLoc
 from repro.domains.interval import Interval
-from repro.domains.state import (
-    AbsState,
-    ArrayAbsState,
-    ScalarAbsState,
-    set_store_backend,
-    store_backend,
-)
-from repro.domains.value import AbsValue, intern_value
+from repro.domains.state import AbsState
+from repro.domains.value import BOT, AbsValue, ArrayBlock, intern_value
 from repro.runtime.checkpoint import state_from_wire, state_to_wire
 
 # -- strategies ---------------------------------------------------------------
@@ -32,7 +27,7 @@ _LOCS = (
     + [FieldLoc(AllocLoc("s0"), "fld"), RetLoc("f")]
 )
 
-_BIG = 1 << 70  # beyond the int64 row encoding — must take the payload path
+_BIG = 1 << 70  # beyond int64: interval arithmetic can overshoot it
 
 bounds = st.one_of(
     st.none(),
@@ -57,12 +52,16 @@ def values(draw):
         return AbsValue()  # ⊥
     if kind == 1:
         return AbsValue.of_interval(Interval.top())
-    if kind <= 7:
+    if kind <= 6:
         return AbsValue.of_interval(draw(intervals()))
-    pts = frozenset(
-        draw(st.lists(st.sampled_from(_LOCS[:6]), max_size=2, unique=True))
-    )
-    return AbsValue(itv=draw(intervals()), ptsto=pts)
+    if kind <= 8:
+        pts = frozenset(
+            draw(st.lists(st.sampled_from(_LOCS[:6]), max_size=2, unique=True))
+        )
+        return AbsValue(itv=draw(intervals()), ptsto=pts)
+    base = draw(st.sampled_from(_LOCS[16:19]))  # the AllocLocs
+    block = ArrayBlock(base, draw(intervals()), draw(intervals()))
+    return AbsValue(itv=draw(intervals()), arrays=(block,))
 
 
 @st.composite
@@ -82,213 +81,207 @@ thresholds = st.one_of(
     ),
 )
 
-
-def _mk(cls, mapping):
-    state = object.__new__(cls)
-    state.__init__()
-    for loc, value in mapping.items():
-        state.set(loc, intern_value(value))
-    return state
+# -- the dict model -----------------------------------------------------------
 
 
-def _pairs(mapping):
-    """The same logical state in both backends."""
-    return _mk(ArrayAbsState, mapping), _mk(ScalarAbsState, mapping)
+def _model(mapping):
+    """The dict a state built from ``mapping`` denotes: ⊥ entries left out."""
+    return {loc: v for loc, v in mapping.items() if not v.is_bottom()}
 
 
-def _table(state):
-    return {loc: value for loc, value in state.items()}
+def _merge_model(a, b, widen=False, thr=None, locs=None):
+    """Pointwise join (or widening, ``⊥ ∇ v = v``) of ``b`` into ``a`` over
+    ``locs`` (default: all of ``b``); returns the result and the locations
+    whose value changed."""
+    out = dict(a)
+    changed = set()
+    for loc in b if locs is None else locs:
+        value = b.get(loc, BOT)
+        if value.is_bottom():
+            continue
+        old = a.get(loc)
+        if old is None:
+            new = value
+        else:
+            new = old.widen(value, thr) if widen else old.join(value)
+        if new != old:
+            out[loc] = new
+            changed.add(loc)
+    return out, changed
 
 
-def _assert_same(arr, sca):
-    assert _table(arr) == _table(sca)
-    assert len(arr) == len(sca)
-    assert arr == sca and sca == arr
-    assert arr.is_bottom() == sca.is_bottom()
+def _assert_model(state, model):
+    """``state`` denotes ``model`` and keeps the store's invariant."""
+    table = dict(state.items())
+    assert table == model
+    assert len(state) == len(model)
+    assert state.is_bottom() == (not model)
+    assert state.locations() == set(model)
+    assert state == AbsState(model)
+    for value in table.values():
+        assert not value.is_bottom()
+        assert intern_value(value) is value
 
 
-# -- structural equivalence ---------------------------------------------------
+# -- structure ----------------------------------------------------------------
 
 
 @given(loc_maps())
 def test_construction_items_len_contains(mapping):
-    arr, sca = _pairs(mapping)
-    _assert_same(arr, sca)
+    state = AbsState(mapping)
+    model = _model(mapping)
+    _assert_model(state, model)
     for loc in _LOCS:
-        assert (loc in arr) == (loc in sca)
-        assert arr.get(loc) == sca.get(loc)
+        assert (loc in state) == (loc in model)
+        assert state.get(loc) == model.get(loc, BOT)
 
 
 @given(loc_maps())
 def test_copy_is_independent(mapping):
-    arr, _ = _pairs(mapping)
-    dup = arr.copy()
-    _assert_same(dup, _mk(ScalarAbsState, mapping))
-    dup.set(VarLoc("fresh", "f"), intern_value(AbsValue.of_interval(Interval(1, 2))))
-    assert VarLoc("fresh", "f") not in arr
+    state = AbsState(mapping)
+    dup = state.copy()
+    _assert_model(dup, _model(mapping))
+    dup.set(VarLoc("fresh", "f"), AbsValue.of_interval(Interval(1, 2)))
+    assert VarLoc("fresh", "f") not in state
 
 
 @given(loc_maps(), loc_sets)
 def test_restrict_remove_match(mapping, locs):
-    arr, sca = _pairs(mapping)
-    _assert_same(arr.restrict(locs), sca.restrict(locs))
-    _assert_same(arr.remove(locs), sca.remove(locs))
-    _assert_same(arr.restrict(frozenset(locs)), sca.restrict(frozenset(locs)))
+    state = AbsState(mapping)
+    model = _model(mapping)
+    kept = {l: v for l, v in model.items() if l in locs}
+    dropped = {l: v for l, v in model.items() if l not in locs}
+    _assert_model(state.restrict(locs), kept)
+    _assert_model(state.remove(locs), dropped)
+    _assert_model(state.restrict(frozenset(locs)), kept)
+    _assert_model(state.remove(iter(locs)), dropped)
+    _assert_model(state, model)  # restriction builds new states
 
 
 @given(loc_maps())
 def test_strong_update_and_bottom_removal(mapping):
-    arr, sca = _pairs(mapping)
-    v = intern_value(AbsValue.of_interval(Interval(-3, 3)))
-    for state in (arr, sca):
-        state.set(VarLoc("v0", "f"), v)
-        state.set(VarLoc("v1", "f"), intern_value(AbsValue()))  # ⊥ deletes
-    _assert_same(arr, sca)
-    assert VarLoc("v1", "f") not in arr
+    state = AbsState(mapping)
+    model = _model(mapping)
+    v = AbsValue.of_interval(Interval(-3, 3))
+    state.set(VarLoc("v0", "f"), v)
+    state.set(VarLoc("v1", "f"), AbsValue())  # ⊥ deletes
+    model[VarLoc("v0", "f")] = v
+    model.pop(VarLoc("v1", "f"), None)
+    _assert_model(state, model)
 
 
-# -- lattice equivalence ------------------------------------------------------
+# -- lattice ------------------------------------------------------------------
 
 
 @given(loc_maps(), loc_maps())
 def test_leq_matches(a, b):
-    arr_a, sca_a = _pairs(a)
-    arr_b, sca_b = _pairs(b)
-    expected = sca_a.leq(sca_b)
-    assert arr_a.leq(arr_b) == expected
-    # mixed backends take the generic path and must agree too
-    assert arr_a.leq(sca_b) == expected
-    assert sca_a.leq(arr_b) == expected
-    assert arr_a.leq(arr_a) and sca_a.leq(sca_a)
+    ma, mb = _model(a), _model(b)
+    expected = all(v.leq(mb.get(loc, BOT)) for loc, v in ma.items())
+    assert AbsState(a).leq(AbsState(b)) == expected
+    state = AbsState(a)
+    assert state.leq(state) and state.leq(state.copy())
 
 
 @given(loc_maps(), loc_maps())
 def test_join_with_matches(a, b):
-    arr_a, sca_a = _pairs(a)
-    arr_b, sca_b = _pairs(b)
-    ch_arr = arr_a.join_with(arr_b)
-    ch_sca = sca_a.join_with(sca_b)
-    assert ch_arr == ch_sca
-    _assert_same(arr_a, sca_a)
-    # mixed: array state joined with a scalar argument
-    arr_m, _ = _pairs(a)
-    assert arr_m.join_with(sca_b) == ch_sca
-    _assert_same(arr_m, sca_a)
+    model, changed = _merge_model(_model(a), _model(b))
+    state = AbsState(a)
+    assert state.join_with(AbsState(b)) == bool(changed)
+    _assert_model(state, model)
+    _assert_model(AbsState(a).join(AbsState(b)), model)
+    assert not state.join_with(AbsState(b))  # idempotent
 
 
 @given(loc_maps(), loc_maps(), thresholds)
 def test_widen_with_matches(a, b, thr):
-    arr_a, sca_a = _pairs(a)
-    arr_b, sca_b = _pairs(b)
-    ch_arr = arr_a.widen_with(arr_b, thr)
-    ch_sca = sca_a.widen_with(sca_b, thr)
-    assert ch_arr == ch_sca
-    _assert_same(arr_a, sca_a)
-    arr_m, _ = _pairs(a)
-    assert arr_m.widen_with(sca_b, thr) == ch_sca
-    _assert_same(arr_m, sca_a)
+    model, changed = _merge_model(_model(a), _model(b), widen=True, thr=thr)
+    state = AbsState(a)
+    assert state.widen_with(AbsState(b), thr) == bool(changed)
+    _assert_model(state, model)
 
 
 @given(loc_maps(), loc_maps())
 def test_join_changed_matches(a, b):
-    arr_a, sca_a = _pairs(a)
-    arr_b, sca_b = _pairs(b)
-    assert arr_a.join_changed(arr_b) == sca_a.join_changed(sca_b)
-    _assert_same(arr_a, sca_a)
+    model, changed = _merge_model(_model(a), _model(b))
+    state = AbsState(a)
+    assert state.join_changed(AbsState(b)) == changed
+    _assert_model(state, model)
 
 
 @given(loc_maps(), loc_maps(), thresholds)
 def test_widen_changed_matches(a, b, thr):
-    arr_a, sca_a = _pairs(a)
-    arr_b, sca_b = _pairs(b)
-    assert arr_a.widen_changed(arr_b, thr) == sca_a.widen_changed(sca_b, thr)
-    _assert_same(arr_a, sca_a)
+    model, changed = _merge_model(_model(a), _model(b), widen=True, thr=thr)
+    state = AbsState(a)
+    assert state.widen_changed(AbsState(b), thr) == changed
+    _assert_model(state, model)
 
 
 @given(loc_maps(), loc_maps(), loc_sets)
 def test_join_entries_from_matches(a, b, locs):
-    arr_a, sca_a = _pairs(a)
-    arr_b, sca_b = _pairs(b)
-    assert arr_a.join_entries_from(arr_b, locs) == sca_a.join_entries_from(
-        sca_b, locs
-    )
-    _assert_same(arr_a, sca_a)
+    """The sparse push: joins ``b`` into ``a`` at ``locs`` only, and its
+    ``grew`` flag is True exactly when some value changed."""
+    model, changed = _merge_model(_model(a), _model(b), locs=locs)
+    state = AbsState(a)
+    assert state.join_entries_from(AbsState(b), locs) == bool(changed)
+    _assert_model(state, model)
+    assert not state.join_entries_from(AbsState(b), locs)
 
 
 @given(loc_maps(), loc_maps())
 def test_delta_items_matches(a, b):
-    arr_a, sca_a = _pairs(a)
-    arr_b, sca_b = _pairs(b)
-    # delta against a derived copy (the pre-analysis's usage pattern)
-    arr_d = arr_a.copy()
-    sca_d = sca_a.copy()
-    arr_d.join_with(arr_b)
-    sca_d.join_with(sca_b)
-    assert dict(arr_d.delta_items(arr_a)) == dict(sca_d.delta_items(sca_a))
+    """Against a derived copy (the pre-analysis's usage pattern), the
+    identity diff is exactly the set of changed entries: stored values are
+    interned, so equal values are the same object."""
+    base = AbsState(a)
+    derived = base.copy()
+    changed = derived.join_changed(AbsState(b))
+    assert dict(derived.delta_items(base)) == {
+        loc: derived.get(loc) for loc in changed
+    }
+    assert dict(base.delta_items(base.copy())) == {}
 
 
 @given(loc_maps(), loc_maps())
 def test_weak_set_and_update_locs_match(a, b):
-    arr, sca = _pairs(a)
+    state = AbsState(a)
+    model = _model(a)
     for loc, value in b.items():
-        arr.weak_set(loc, value)
-        sca.weak_set(loc, value)
-    _assert_same(arr, sca)
+        state.weak_set(loc, value)
+        model, _ = _merge_model(model, _model({loc: value}))
+    _assert_model(state, model)
     locs = list(b)[:2]
-    v = intern_value(AbsValue.of_interval(Interval(0, 1)))
-    arr.update_locs(locs, v)
-    sca.update_locs(locs, v)
-    _assert_same(arr, sca)
+    v = AbsValue.of_interval(Interval(0, 1))
+    state.update_locs(locs, v)
+    if len(locs) == 1 and not locs[0].is_summary():
+        model[locs[0]] = v  # strong update
+    else:
+        model, _ = _merge_model(model, {loc: v for loc in locs})
+    _assert_model(state, model)
 
 
 # -- codec round-trip ---------------------------------------------------------
 
 
 @given(loc_maps())
-def test_wire_round_trip_is_backend_independent(mapping):
-    arr, sca = _pairs(mapping)
-    wire_arr = state_to_wire(arr)
-    wire_sca = state_to_wire(sca)
-    assert wire_arr == wire_sca
-    decoded = state_from_wire(wire_arr)
-    _assert_same(_mk(ArrayAbsState, _table(decoded)), sca)
-
-
-# -- backend selection --------------------------------------------------------
-
-
-def test_backend_dispatch_and_knob():
-    previous = set_store_backend("scalar")
-    try:
-        assert store_backend() == "scalar"
-        assert type(AbsState()) is ScalarAbsState
-        assert set_store_backend("array") == "scalar"
-        assert type(AbsState()) is ArrayAbsState
-        assert type(AbsState({VarLoc("x"): AbsValue.of_interval(Interval(0, 1))})) is ArrayAbsState
-    finally:
-        set_store_backend(previous)
-    try:
-        set_store_backend("nope")
-    except ValueError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("unknown backend must raise")
-    assert isinstance(AbsState(), AbsState)
+def test_wire_round_trip(mapping):
+    state = AbsState(mapping)
+    wire = state_to_wire(state)
+    decoded = state_from_wire(wire)
+    _assert_model(decoded, _model(mapping))
+    assert state_to_wire(decoded) == wire
 
 
 @settings(max_examples=25)
 @given(loc_maps(), loc_maps())
 def test_analysis_shaped_sequence(a, b):
-    """A join→widen→narrow-shaped sequence keeps both backends in lockstep
-    (the exact call pattern the fixpoint engine produces)."""
-    arr, sca = _pairs(a)
-    arr_b, sca_b = _pairs(b)
-    arr.join_changed(arr_b)
-    sca.join_changed(sca_b)
-    arr.widen_changed(arr_b, (0, 16))
-    sca.widen_changed(sca_b, (0, 16))
-    _assert_same(arr, sca)
-    assert arr.leq(sca) and sca.leq(arr)
-    out_a = arr.join(arr_b)
-    out_s = sca.join(sca_b)
-    _assert_same(out_a, out_s)
+    """A join→widen→join sequence (the call pattern the fixpoint engine
+    produces) follows the model step by step."""
+    mb = _model(b)
+    model, _ = _merge_model(_model(a), mb)
+    model, _ = _merge_model(model, mb, widen=True, thr=(0, 16))
+    state = AbsState(a)
+    state.join_changed(AbsState(b))
+    state.widen_changed(AbsState(b), (0, 16))
+    _assert_model(state, model)
+    out = state.join(AbsState(b))
+    _assert_model(out, _merge_model(model, mb)[0])

@@ -1,5 +1,9 @@
 """Public API tests."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import analyze
@@ -85,3 +89,27 @@ class TestAnalyze:
             "main",
         )
         assert y.leq(Interval.range(1, 11))
+
+
+def test_analyze_does_not_import_numpy():
+    """The analyzer is pure Python: importing ``repro`` and running every
+    domain and mode in a fresh interpreter loads no numpy."""
+    script = f"""
+import sys
+import repro
+src = {SRC!r}
+for domain in ("interval", "octagon"):
+    for mode in ("sparse", "base", "vanilla"):
+        repro.analyze(src, domain=domain, mode=mode)
+print("numpy" in sys.modules)
+"""
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src_dir)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
