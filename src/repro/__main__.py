@@ -70,7 +70,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     options = {
         "preprocess_source": args.cpp,
         "inline": args.inline,
-        "scheduler": args.scheduler,
         "strict_frontend": args.strict_frontend,
     }
     if args.narrow:
@@ -152,7 +151,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"avg |D̂|/|Û|    : {d:.2f} / {u:.2f}")
         sched = run.scheduler_stats
         if sched is not None:
-            print(f"scheduler       : {sched.scheduler}")
             print(f"pops            : {sched.pops} over "
                   f"{sched.unique_nodes} nodes")
             print(f"revisits        : {sched.revisits} "
@@ -418,11 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     p_analyze.add_argument(
         "--trace", metavar="FILE", default=None,
         help="write a Chrome trace JSON (chrome://tracing) of the run",
-    )
-    p_analyze.add_argument(
-        "--scheduler", choices=["wto", "fifo"], default="wto",
-        help="fixpoint visit order: weak topological order (default) or "
-        "the FIFO baseline",
     )
     p_analyze.add_argument(
         "--narrow", type=int, default=2, metavar="N",

@@ -25,15 +25,12 @@ the spurious interprocedural dependencies of the naïve whole-graph approach:
   definitions reaching it through pass-through nodes; the raw relation is
   never materialised, and each location's adjacency is freed once closed.
 
-Two intra-procedural chain generators are provided: an SSA-based one
-(dominance frontiers for phi placement + a renaming walk; the paper's
-choice) and a reaching-definitions one (reference implementation used to
-cross-check the SSA generator in tests).
+Intra-procedural chains come from SSA construction: dominance frontiers
+for phi placement and a renaming walk (the paper's choice).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -303,50 +300,6 @@ def _ssa_chains(cfg: ProcCFG, aug: AugmentedDefUse, adj: InAdjacency) -> None:
 
 
 # --------------------------------------------------------------------------
-# Intraprocedural chain generation: reaching definitions (reference)
-# --------------------------------------------------------------------------
-
-
-def _reaching_chains(
-    cfg: ProcCFG, aug: AugmentedDefUse, adj: InAdjacency
-) -> None:
-    """Reference generator: classic reaching-definitions dataflow, one
-    location at a time. Used to cross-check the SSA generator."""
-    assert cfg.entry is not None
-    locs: set[AbsLoc] = set()
-    for nid in cfg.succs:
-        locs.update(aug.defs.get(nid, ()))
-        locs.update(aug.uses.get(nid, ()))
-    for loc in locs:
-        _reaching_one(cfg, aug, adj, loc)
-
-
-def _reaching_one(
-    cfg: ProcCFG, aug: AugmentedDefUse, adj: InAdjacency, loc: AbsLoc
-) -> None:
-    # IN[n] = set of definition nodes of `loc` reaching n.
-    in_sets: dict[int, set[int]] = {nid: set() for nid in cfg.succs}
-    work = deque(n.nid for n in cfg.nodes)
-    queued = set(work)
-    while work:
-        nid = work.popleft()
-        queued.discard(nid)
-        out = {nid} if loc in aug.defs.get(nid, ()) else set(in_sets[nid])
-        for succ in cfg.succs.get(nid, ()):
-            if not out <= in_sets[succ]:
-                in_sets[succ] |= out
-                if succ not in queued:
-                    queued.add(succ)
-                    work.append(succ)
-    for nid in cfg.succs:
-        if loc in aug.uses.get(nid, ()) and loc not in aug.routed.get(
-            nid, ()
-        ):
-            for d in in_sets[nid]:
-                _link(adj, d, nid, loc)
-
-
-# --------------------------------------------------------------------------
 # Interprocedural edges + bypass optimization
 # --------------------------------------------------------------------------
 
@@ -506,7 +459,6 @@ def generate_datadeps(
     program: Program,
     pre: PreAnalysis,
     defuse: DefUseInfo,
-    method: str = "ssa",
     bypass: bool = True,
     widening_points: set[int] | None = None,
     telemetry=None,
@@ -533,12 +485,7 @@ def generate_datadeps(
             for wp in proc_wps:
                 aug.defs.setdefault(wp, set()).update(proc_locs)
                 aug.uses.setdefault(wp, set()).update(proc_locs)
-        if method == "ssa":
-            _ssa_chains(cfg, aug, adj)
-        elif method == "reaching":
-            _reaching_chains(cfg, aug, adj)
-        else:
-            raise ValueError(f"unknown chain generator {method!r}")
+        _ssa_chains(cfg, aug, adj)
     _add_interproc_edges(program, pre, defuse, adj)
     raw = sum(
         1 if type(srcs) is int else len(srcs)

@@ -296,7 +296,6 @@ def run_dense(
     on_budget: str = "fail",
     faults=None,
     watchdog: bool = True,
-    scheduler: str = "wto",
     widening_delay: int = 0,
     telemetry=None,
     checkpoint=None,
@@ -318,11 +317,6 @@ def run_dense(
     pre-analysis state instead of raising :class:`BudgetExceeded`, with the
     actions recorded in the result's ``diagnostics``. ``faults`` accepts a
     :class:`repro.runtime.faults.FaultPlan` for deterministic failure tests.
-
-    ``scheduler`` selects the worklist order: ``"wto"`` (default) iterates
-    in weak topological order, ``"fifo"`` is the classic deque baseline.
-    Widening points are WTO component heads either way, so both schedules
-    converge to the same table.
     """
     if on_budget not in ("fail", "degrade"):
         raise ValueError(f"on_budget must be 'fail' or 'degrade', not {on_budget!r}")
@@ -363,7 +357,6 @@ def run_dense(
         faults=FaultInjector.coerce(faults),
         degrade=degrade,
         priority=plan.wto.priority,
-        scheduler=scheduler,
         telemetry=tel,
         checkpointer=checkpoint,
     )

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
-from repro.analysis.schedule import SchedulerStats, make_worklist
+from repro.analysis.schedule import PriorityWorklist, SchedulerStats
 from repro.domains.interval import Interval
 from repro.domains.state import AbsState
 from repro.domains.value import cache_stats
@@ -598,11 +598,11 @@ class FixpointEngine:
     ``f♯_c`` to the space-assembled input (matching the paper's formulation
     where the transfer happens on entry to ``c``).
 
-    Scheduling: with a WTO ``priority`` map the engine iterates nodes in
-    weak topological order (inner loops stabilize before outer code
-    resumes); with ``scheduler="fifo"`` it falls back to the classic FIFO
-    deque. Either way a :class:`~repro.analysis.schedule.SchedulerStats`
-    record is left on ``scheduler_stats``.
+    Scheduling: the engine pops nodes by their position in the WTO
+    ``priority`` map (inner loops stabilize before outer code resumes);
+    nodes the map lacks pop after every mapped node, in id order. A
+    :class:`~repro.analysis.schedule.SchedulerStats` record is left on
+    ``scheduler_stats``.
 
     Resilience (see :mod:`repro.runtime`): every iteration — including
     narrowing passes — is metered against a unified
@@ -629,7 +629,6 @@ class FixpointEngine:
         faults=None,
         degrade=None,
         priority: Mapping[int, int] | None = None,
-        scheduler: str = "wto",
         telemetry=None,
         checkpointer=None,
     ) -> None:
@@ -651,9 +650,8 @@ class FixpointEngine:
         self._meter = meter
         self._faults = faults
         self._degrade = degrade
-        #: WTO positions driving the priority worklist (None = plain FIFO)
-        self._priority = priority
-        self._scheduler = scheduler if priority is not None else "fifo"
+        #: WTO positions driving the priority worklist
+        self._priority = priority if priority is not None else {}
         #: telemetry registry the run's stats are merged into on completion
         #: (the no-op singleton by default — zero per-iteration cost either
         #: way, the engine only reports at phase boundaries)
@@ -775,7 +773,7 @@ class FixpointEngine:
             self._resume_pending = None
         else:
             initial = space.seeds()
-        work = make_worklist(self._scheduler, self._priority, initial)
+        work = PriorityWorklist(self._priority, initial)
         self._work = work
         cp = self._checkpointer
         while work:

@@ -458,7 +458,6 @@ def solve_cone(
     base_table: Mapping[int, object],
     *,
     budget: Budget | None = None,
-    scheduler: str = "wto",
     telemetry=None,
 ) -> tuple[dict[int, object], FixpointStats]:
     """Solve only ``cone``, warm-started from the retained ``base_table``
@@ -482,7 +481,6 @@ def solve_cone(
         widening_delay=plan.widening_delay,
         budget=budget,
         priority=plan.wto.priority,
-        scheduler=scheduler,
         telemetry=telemetry,
     )
     box["engine"] = engine
@@ -502,7 +500,6 @@ def solve_global(
     *,
     narrowing_passes: int = 0,
     budget: Budget | None = None,
-    scheduler: str = "wto",
     telemetry=None,
 ) -> tuple[dict[int, object], FixpointStats]:
     """A from-scratch whole-program solve of the plan — the identical
@@ -519,7 +516,6 @@ def solve_global(
         narrowing_passes=narrowing_passes,
         budget=budget,
         priority=plan.wto.priority,
-        scheduler=scheduler,
         telemetry=telemetry,
     )
     box["engine"] = engine

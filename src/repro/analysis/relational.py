@@ -773,7 +773,6 @@ def run_rel_dense(
     on_budget: str = "fail",
     faults=None,
     watchdog: bool = True,
-    scheduler: str = "wto",
     widening_delay: int = 0,
     telemetry=None,
     checkpoint=None,
@@ -814,7 +813,6 @@ def run_rel_dense(
         faults=FaultInjector.coerce(faults),
         degrade=degrade,
         priority=plan.wto.priority,
-        scheduler=scheduler,
         telemetry=tel,
         checkpointer=checkpoint,
     )
@@ -944,7 +942,6 @@ def prepare_rel_sparse(
     pre: PreAnalysis,
     *,
     packs: PackSet | None = None,
-    method: str = "ssa",
     bypass: bool = True,
     strict: bool = True,
     widen: bool = True,
@@ -959,7 +956,7 @@ def prepare_rel_sparse(
     ctx = RelContext(program, pre, packs, strict=strict)
 
     t_dep = time.perf_counter()
-    with tel.span("dep-gen", method=method, bypass=bypass, domain="octagon"):
+    with tel.span("dep-gen", bypass=bypass, domain="octagon"):
         graph = build_interproc_graph(program, pre.site_callees, localized=False)
         wto, wps = widening_points_for(
             GraphView((program.entry_node().nid,), graph.succs), widen
@@ -969,7 +966,6 @@ def prepare_rel_sparse(
             program,
             pre,
             defuse,
-            method=method,
             bypass=bypass,
             widening_points=wps,
             telemetry=tel,
@@ -1013,7 +1009,6 @@ def run_rel_sparse(
     program: Program,
     pre: PreAnalysis | None = None,
     packs: PackSet | None = None,
-    method: str = "ssa",
     bypass: bool = True,
     strict: bool = True,
     widen: bool = True,
@@ -1023,7 +1018,6 @@ def run_rel_sparse(
     on_budget: str = "fail",
     faults=None,
     watchdog: bool = True,
-    scheduler: str = "wto",
     widening_delay: int = 0,
     telemetry=None,
     checkpoint=None,
@@ -1047,7 +1041,6 @@ def run_rel_sparse(
         program,
         pre,
         packs=packs,
-        method=method,
         bypass=bypass,
         strict=strict,
         widen=widen,
@@ -1068,7 +1061,6 @@ def run_rel_sparse(
         faults=FaultInjector.coerce(faults),
         degrade=degrade,
         priority=plan.wto.priority,
-        scheduler=scheduler,
         telemetry=tel,
         checkpointer=checkpoint,
     )

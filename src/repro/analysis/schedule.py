@@ -24,9 +24,9 @@ and each non-trivial SCC becomes a component headed by its first node in
 DFS order, with the head's incoming back edges cut before the component's
 interior is decomposed the same way.
 
-:class:`FifoWorklist` and :class:`PriorityWorklist` give all four engines a
-uniform worklist interface; both record the re-visit and priority-inversion
-counters reported in :class:`SchedulerStats`.
+:class:`PriorityWorklist` is the one worklist every engine pops from; it
+records the re-visit and priority-inversion counters reported in
+:class:`SchedulerStats`.
 """
 
 from __future__ import annotations
@@ -40,15 +40,9 @@ __all__ = [
     "compute_wto",
     "GraphView",
     "widening_points_for",
-    "FifoWorklist",
     "PriorityWorklist",
-    "make_worklist",
     "SchedulerStats",
-    "SCHEDULERS",
 ]
-
-#: recognized scheduler names, in preference order
-SCHEDULERS = ("wto", "fifo")
 
 
 # --------------------------------------------------------------------------
@@ -309,74 +303,8 @@ def widening_points_for(space, widen: bool = True) -> tuple[WTO, set[int]]:
 
 
 # --------------------------------------------------------------------------
-# Worklists
+# Worklist
 # --------------------------------------------------------------------------
-
-
-class FifoWorklist:
-    """The classic FIFO deque + membership set, with re-visit counters.
-
-    When a ``priority`` map is supplied it is used for *stats only*
-    (priority inversions relative to the WTO order), never for ordering —
-    this is the baseline the WTO scheduler is benchmarked against.
-    """
-
-    __slots__ = ("_deque", "_in", "_priority", "pops", "pop_counts",
-                 "inversions", "max_size", "_last_priority")
-
-    scheduler = "fifo"
-
-    def __init__(
-        self,
-        initial: Iterable[int] = (),
-        priority: Mapping[int, int] | None = None,
-    ) -> None:
-        from collections import deque
-
-        self._deque = deque(initial)
-        self._in = set(self._deque)
-        self._priority = priority
-        self.pops = 0
-        self.pop_counts: dict[int, int] = {}
-        self.inversions = 0
-        self.max_size = len(self._deque)
-        self._last_priority: int | None = None
-
-    def add(self, node: int) -> None:
-        if node not in self._in:
-            self._in.add(node)
-            self._deque.append(node)
-            if len(self._deque) > self.max_size:
-                self.max_size = len(self._deque)
-
-    def pending(self) -> list[int]:
-        """The queued nodes in exact pop order (checkpoint capture)."""
-        return list(self._deque)
-
-    def pop(self) -> int:
-        node = self._deque.popleft()
-        self._in.discard(node)
-        self.pops += 1
-        self.pop_counts[node] = self.pop_counts.get(node, 0) + 1
-        if self._priority is not None:
-            p = self._priority.get(node)
-            if (
-                p is not None
-                and self._last_priority is not None
-                and p < self._last_priority
-            ):
-                self.inversions += 1
-            self._last_priority = p
-        return node
-
-    def __len__(self) -> int:
-        return len(self._deque)
-
-    def __bool__(self) -> bool:
-        return bool(self._deque)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._in
 
 
 class PriorityWorklist:
@@ -387,13 +315,11 @@ class PriorityWorklist:
     before the enclosing component resumes — Bourdoncle's recursive
     strategy approximated with a single heap. Nodes missing from the
     priority map (unreachable seeds in non-strict mode) sort after every
-    mapped node, by id.
+    mapped node, by id; with an empty map the worklist pops in id order.
     """
 
     __slots__ = ("_heap", "_in", "_priority", "_base", "pops", "pop_counts",
                  "inversions", "max_size", "_last_priority")
-
-    scheduler = "wto"
 
     def __init__(
         self,
@@ -457,19 +383,6 @@ class PriorityWorklist:
         return node in self._in
 
 
-def make_worklist(
-    scheduler: str,
-    priority: Mapping[int, int] | None,
-    initial: Iterable[int] = (),
-):
-    """Build the worklist for ``scheduler`` ("wto" or "fifo")."""
-    if scheduler == "wto" and priority is not None:
-        return PriorityWorklist(priority, initial)
-    if scheduler in ("fifo", "wto"):
-        return FifoWorklist(initial, priority)
-    raise ValueError(f"unknown scheduler {scheduler!r}")
-
-
 # --------------------------------------------------------------------------
 # Stats
 # --------------------------------------------------------------------------
@@ -485,7 +398,6 @@ class SchedulerStats:
     value layer's memoized join/widen hits attributable to this run.
     """
 
-    scheduler: str = "fifo"
     pops: int = 0
     unique_nodes: int = 0
     revisits: int = 0
@@ -522,7 +434,6 @@ class SchedulerStats:
             key=lambda nc: (-nc[1], nc[0]),
         )[:hot_limit]
         return cls(
-            scheduler=work.scheduler,
             pops=work.pops,
             unique_nodes=len(counts),
             revisits=revisits,
@@ -537,7 +448,6 @@ class SchedulerStats:
 
     def as_dict(self) -> dict:
         return {
-            "scheduler": self.scheduler,
             "pops": self.pops,
             "unique_nodes": self.unique_nodes,
             "revisits": self.revisits,
@@ -554,7 +464,7 @@ class SchedulerStats:
 
     def __str__(self) -> str:
         return (
-            f"scheduler={self.scheduler} pops={self.pops} "
+            f"pops={self.pops} "
             f"revisits={self.revisits} (max {self.max_revisits}) "
             f"inversions={self.inversions} "
             f"join-cache {self.join_cache_hits}/"

@@ -57,7 +57,6 @@ def prepare_interval_sparse(
     program: Program,
     pre: PreAnalysis,
     *,
-    method: str = "ssa",
     bypass: bool = True,
     strict: bool = True,
     widen: bool = True,
@@ -72,7 +71,7 @@ def prepare_interval_sparse(
     including, fixpoint iteration."""
     tel = Telemetry.coerce(telemetry)
     t1 = time.perf_counter()
-    with tel.span("dep-gen", method=method, bypass=bypass):
+    with tel.span("dep-gen", bypass=bypass):
         graph = build_interproc_graph(program, pre.site_callees, localized=False)
         # Widening points come from the *control* graph's WTO (shared with
         # the dense engine) and must exist before dependency generation,
@@ -87,7 +86,6 @@ def prepare_interval_sparse(
                 program,
                 pre,
                 defuse,
-                method=method,
                 bypass=bypass,
                 widening_points=widening_points,
                 telemetry=tel,
@@ -134,7 +132,6 @@ def run_sparse(
     pre: PreAnalysis | None = None,
     defuse: DefUseInfo | None = None,
     dep_result: DataDepResult | None = None,
-    method: str = "ssa",
     bypass: bool = True,
     strict: bool = True,
     widen: bool = True,
@@ -145,7 +142,6 @@ def run_sparse(
     on_budget: str = "fail",
     faults=None,
     watchdog: bool = True,
-    scheduler: str = "wto",
     widening_delay: int = 0,
     telemetry=None,
     checkpoint=None,
@@ -173,7 +169,6 @@ def run_sparse(
     plan = prepare_interval_sparse(
         program,
         pre,
-        method=method,
         bypass=bypass,
         strict=strict,
         widen=widen,
@@ -210,7 +205,6 @@ def run_sparse(
         faults=FaultInjector.coerce(faults),
         degrade=degrade,
         priority=plan.wto.priority,
-        scheduler=scheduler,
         telemetry=tel,
         checkpointer=checkpoint,
     )

@@ -53,7 +53,7 @@ from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 _MISS = object()
 
 #: sparse-only engine options that must not reach the dense drivers
-_SPARSE_ONLY_OPTIONS = ("method", "bypass")
+_SPARSE_ONLY_OPTIONS = ("bypass",)
 
 
 @dataclass
@@ -425,8 +425,7 @@ def analyze(
     duplicates small non-recursive callees into their call sites (bounded
     context sensitivity). Remaining ``options`` are forwarded to the
     underlying engine (``strict``, ``widen``, ``narrowing_passes``,
-    ``widening_thresholds``, ``max_iterations``, ``method``, ``bypass``,
-    ``scheduler`` — ``"wto"`` or the ``"fifo"`` baseline).
+    ``widening_thresholds``, ``max_iterations``, ``bypass``).
 
     Resilience knobs:
 

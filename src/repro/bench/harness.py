@@ -34,7 +34,6 @@ from repro.analysis.dense import run_dense
 from repro.analysis.preanalysis import run_preanalysis
 from repro.analysis.relational import run_rel_dense, run_rel_sparse
 from repro.analysis.sparse import run_sparse
-from repro.analysis.worklist import AnalysisBudgetExceeded
 from repro.bench.codegen import (
     WorkloadSpec,
     default_suite,
@@ -43,6 +42,7 @@ from repro.bench.codegen import (
 )
 from repro.bench.stats import compute_stats
 from repro.ir.program import build_program
+from repro.runtime.errors import BudgetExceeded
 from repro.telemetry import Telemetry, phase_report
 
 #: iteration budgets, per analysis — the "24h timeout" analog. Vanilla gets
@@ -103,7 +103,7 @@ def _measure(fn) -> Measurement:
     start = time.perf_counter()
     try:
         result = fn(tel)
-    except AnalysisBudgetExceeded:
+    except BudgetExceeded:
         return Measurement(None, None)
     elapsed = time.perf_counter() - start
     m = Measurement(elapsed, _estimate_memory_mb(result))

@@ -101,19 +101,6 @@ _widen_memo: dict[tuple, tuple] = {}
 
 _memo_hits = 0
 _memo_misses = 0
-_enabled = True
-
-
-def interning_enabled() -> bool:
-    return _enabled
-
-
-def set_interning(enabled: bool) -> None:
-    """Toggle hash-consing and join/widen memoization (the bench ablation
-    knob). Toggling clears every table so measurements start cold."""
-    global _enabled
-    _enabled = enabled
-    clear_intern_tables()
 
 
 def clear_intern_tables() -> None:
@@ -145,8 +132,6 @@ def intern_value(value: "AbsValue") -> "AbsValue":
     equality of interned values is pointer equality. Components (interval,
     points-to set) are canonicalized too, so even distinct values share
     their equal parts."""
-    if not _enabled:
-        return value
     found = _interned.get(value)
     if found is not None:
         return found
@@ -265,13 +250,12 @@ class AbsValue:
         if other.is_bottom():
             return self
         global _memo_hits, _memo_misses
-        if _enabled:
-            key = (id(self), id(other))
-            hit = _join_memo.get(key)
-            if hit is not None and hit[0] is self and hit[1] is other:
-                _memo_hits += 1
-                return hit[2]
-            _memo_misses += 1
+        key = (id(self), id(other))
+        hit = _join_memo.get(key)
+        if hit is not None and hit[0] is self and hit[1] is other:
+            _memo_hits += 1
+            return hit[2]
+        _memo_misses += 1
         result = AbsValue(
             itv=self.itv.join(other.itv),
             ptsto=self.ptsto | other.ptsto,
@@ -279,11 +263,10 @@ class AbsValue:
                 self.arrays, other.arrays, lambda x, y: x.join(y)
             ),
         )
-        if _enabled:
-            result = intern_value(result)
-            if len(_join_memo) >= _MEMO_LIMIT:
-                _join_memo.clear()
-            _join_memo[key] = (self, other, result)
+        result = intern_value(result)
+        if len(_join_memo) >= _MEMO_LIMIT:
+            _join_memo.clear()
+        _join_memo[key] = (self, other, result)
         return result
 
     def widen(
@@ -292,13 +275,12 @@ class AbsValue:
         if self is other:
             return self
         global _memo_hits, _memo_misses
-        if _enabled:
-            key = (id(self), id(other), thresholds)
-            hit = _widen_memo.get(key)
-            if hit is not None and hit[0] is self and hit[1] is other:
-                _memo_hits += 1
-                return hit[2]
-            _memo_misses += 1
+        key = (id(self), id(other), thresholds)
+        hit = _widen_memo.get(key)
+        if hit is not None and hit[0] is self and hit[1] is other:
+            _memo_hits += 1
+            return hit[2]
+        _memo_misses += 1
         result = AbsValue(
             itv=self.itv.widen(other.itv, thresholds),
             ptsto=self.ptsto | other.ptsto,
@@ -306,11 +288,10 @@ class AbsValue:
                 self.arrays, other.arrays, lambda x, y: x.widen(y)
             ),
         )
-        if _enabled:
-            result = intern_value(result)
-            if len(_widen_memo) >= _MEMO_LIMIT:
-                _widen_memo.clear()
-            _widen_memo[key] = (self, other, result)
+        result = intern_value(result)
+        if len(_widen_memo) >= _MEMO_LIMIT:
+            _widen_memo.clear()
+        _widen_memo[key] = (self, other, result)
         return result
 
     def narrow(self, other: "AbsValue") -> "AbsValue":

@@ -14,8 +14,6 @@ Every failure the framework itself can anticipate derives from
 Callers that want "anything this package can raise on bad input or
 exhausted resources" catch ``ReproError``; callers that want the paper's
 timeout semantics (the ∞ entries of Tables 2/3) catch ``BudgetExceeded``.
-``AnalysisBudgetExceeded`` remains available from
-:mod:`repro.analysis.worklist` as a backwards-compatible alias.
 
 This module must stay import-leaf (no ``repro`` imports) — the frontend,
 the runtime, and every solver depend on it.

@@ -16,6 +16,7 @@ from repro.server.protocol import (
     dispatch_request,
     encode_response,
     error_response,
+    handle_request,
     prepare_socket_path,
     probe_unix_socket,
     serve_lines,
@@ -39,6 +40,7 @@ __all__ = [
     "dispatch_request",
     "encode_response",
     "error_response",
+    "handle_request",
     "prepare_socket_path",
     "probe_unix_socket",
     "serve_lines",

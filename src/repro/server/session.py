@@ -136,7 +136,6 @@ class ServeSession:
         widen: bool = True,
         narrowing_passes: int = 0,
         preprocess_source: bool = False,
-        scheduler: str = "wto",
         query_budget_seconds: float | None = None,
         query_max_iterations: int | None = None,
         cone_threshold: float = DEFAULT_CONE_THRESHOLD,
@@ -154,7 +153,6 @@ class ServeSession:
         self.widen = widen
         self.narrowing_passes = narrowing_passes
         self.preprocess_source = preprocess_source
-        self.scheduler = scheduler
         self.query_budget_seconds = query_budget_seconds
         self.query_max_iterations = query_max_iterations
         self.cone_threshold = cone_threshold
@@ -338,7 +336,6 @@ class ServeSession:
         table, stats = solve_global(
             res.plan,
             narrowing_passes=self.narrowing_passes,
-            scheduler=self.scheduler,
             telemetry=self.telemetry,
         )
         res.table = table
@@ -366,7 +363,6 @@ class ServeSession:
                     pending,
                     res.table,
                     budget=self._query_budget(),
-                    scheduler=self.scheduler,
                     telemetry=self.telemetry,
                 )
             except BudgetExceeded:
@@ -662,7 +658,6 @@ class ServeSession:
             "strict": self.strict,
             "widen": self.widen,
             "narrowing_passes": self.narrowing_passes,
-            "scheduler": self.scheduler,
         }
         blob = json.dumps(spec, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()

@@ -142,18 +142,16 @@ def _worker_main(
     """Session-worker child entry: restore durable state, report ready,
     then serve requests from the pipe until EOF/shutdown.
 
-    The worker never answers a request with anything but one line of
-    JSON; a crash (injected or real) simply leaves the supervisor without
-    a response, which is its retry signal.
+    Requests go through :func:`repro.server.protocol.handle_request`, the
+    handler ``serve`` uses in-process; the worker's ``on_edit`` hook makes
+    each edit durable (and re-snapshots) before the reply is sent. The
+    worker never answers a request with anything but one line of JSON; a
+    crash (injected or real) simply leaves the supervisor without a
+    response, which is its retry signal. A SIGINT/SIGTERM raised as
+    :class:`~repro.runtime.errors.AnalysisInterrupted` mid-request ends
+    the worker instead of being answered.
     """
-    from repro.server.protocol import (
-        MAX_REQUEST_BYTES,
-        ProtocolError,
-        decode_request,
-        dispatch_request,
-        encode_response,
-        error_response,
-    )
+    from repro.server.protocol import MAX_REQUEST_BYTES, handle_request
     from repro.server.session import ServeSession
 
     hb_path = os.path.join(state_dir, HEARTBEAT_FILE)
@@ -226,6 +224,23 @@ def _worker_main(
             return  # the next cadence point retries
         written_version = version
 
+    def on_edit() -> None:
+        nonlocal n_edits
+        n_edits += 1
+        if injector is not None:
+            # the atomicity window: the edit is applied in memory but not
+            # yet durable — a kill here must roll it back
+            injector.after_edit_applied(n_edits)
+        save_checkpoint(
+            source_path,
+            {
+                "kind": _SOURCE_KIND,
+                "source": session.source,
+                "generation": session.generation,
+            },
+        )
+        snapshot_now()
+
     while True:
         try:
             line = req_conn.recv()
@@ -237,52 +252,16 @@ def _worker_main(
         n_requests += 1
         if injector is not None:
             injector.before_request(n_requests)
-        request_id = None
-        try:
-            request = decode_request(line, max_request_bytes)
-            request_id = request.get("id")
-            op = request["op"]
-            if op == "shutdown":
-                resp: dict = {"ok": True, "op": "shutdown"}
-                if request_id is not None:
-                    resp["id"] = request_id
-                resp_conn.send(encode_response(resp))
-                break
-            response = dispatch_request(session, request)
-            if op == "edit":
-                n_edits += 1
-                if injector is not None:
-                    # the atomicity window: the edit is applied in memory
-                    # but not yet durable — a kill here must roll it back
-                    injector.after_edit_applied(n_edits)
-                save_checkpoint(
-                    source_path,
-                    {
-                        "kind": _SOURCE_KIND,
-                        "source": session.source,
-                        "generation": session.generation,
-                    },
-                )
-                snapshot_now()
-            if request_id is not None:
-                response["id"] = request_id
-            resp_conn.send(encode_response(response))
-        except ProtocolError as exc:
-            resp_conn.send(
-                encode_response(error_response(exc.code, str(exc), request_id))
+        resp_conn.send(
+            handle_request(
+                session,
+                line,
+                max_request_bytes=max_request_bytes,
+                on_edit=on_edit,
             )
-        except (ReproError, ValueError) as exc:
-            resp_conn.send(
-                encode_response(error_response("error", str(exc), request_id))
-            )
-        except Exception as exc:  # noqa: BLE001 - worker must survive
-            resp_conn.send(
-                encode_response(
-                    error_response(
-                        "internal", f"{type(exc).__name__}: {exc}", request_id
-                    )
-                )
-            )
+        )
+        if session.shutdown_requested:
+            break
         if snapshot_every and n_requests % snapshot_every == 0:
             snapshot_now()
         _touch(hb_path)

@@ -254,7 +254,6 @@ class Telemetry:
                 "value.join_cache_misses", scheduler_stats.join_cache_misses
             )
             self.gauge("sched.widening_points", scheduler_stats.widening_points)
-            self.gauge("sched.scheduler", scheduler_stats.scheduler)
 
     # -- memory ----------------------------------------------------------------
 

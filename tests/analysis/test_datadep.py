@@ -1,5 +1,5 @@
-"""Data-dependency generation: SSA vs reaching-defs, interprocedural edges,
-and the bypass optimization."""
+"""Data-dependency generation: SSA vs the reaching-defs oracle,
+interprocedural edges, and the bypass optimization."""
 
 import os
 
@@ -15,7 +15,7 @@ from repro.bench.codegen import default_suite, generate_source, octagon_suite
 from repro.domains.absloc import RetLoc, VarLoc
 from repro.domains.packs import build_packs
 from repro.ir.program import build_program
-from tests.analysis.datadep_oracle import bypass_pairwise
+from tests.analysis.datadep_oracle import bypass_pairwise, chain_generator
 from tests.conftest import EXAMPLE_FILES, program_of_file, random_spec, upto
 
 #: number of random programs; CI's fuzz-smoke step lowers this via the
@@ -158,7 +158,8 @@ class TestIntraprocChains:
         }
         """
         program, pre, du = setup(src)
-        result = generate_datadeps(program, pre, du, method=method, bypass=True)
+        with chain_generator(method):
+            result = generate_datadeps(program, pre, du, bypass=True)
         s = VarLoc("s", "main")
         ret = node(program, "return main::s").nid
         sources = {
@@ -177,10 +178,9 @@ class TestIntraprocChains:
         }
         """
         program, pre, du = setup(src)
-        ssa = generate_datadeps(program, pre, du, method="ssa", bypass=True)
-        reaching = generate_datadeps(
-            program, pre, du, method="reaching", bypass=True
-        )
+        ssa = generate_datadeps(program, pre, du, bypass=True)
+        with chain_generator("reaching"):
+            reaching = generate_datadeps(program, pre, du, bypass=True)
         assert set(ssa.deps.triples()) == set(reaching.deps.triples())
 
 
@@ -304,14 +304,13 @@ def assert_one_pass_matches(program, pre, defuse):
     for widen in (True, False):
         wps = _widening_points(program, pre, widen)
         for method in ("ssa", "reaching"):
-            raw = generate_datadeps(
-                program, pre, defuse, method=method, bypass=False,
-                widening_points=wps,
-            )
-            final = generate_datadeps(
-                program, pre, defuse, method=method, bypass=True,
-                widening_points=wps,
-            )
+            with chain_generator(method):
+                raw = generate_datadeps(
+                    program, pre, defuse, bypass=False, widening_points=wps
+                )
+                final = generate_datadeps(
+                    program, pre, defuse, bypass=True, widening_points=wps
+                )
             triples = set(final.deps.triples())
             assert len(triples) == len(final.deps)
             assert triples == set(

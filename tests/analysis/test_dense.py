@@ -1,19 +1,16 @@
-"""Dense engines: interprocedural graph construction, the worklist solver,
-and access-based localization."""
+"""Dense engines: interprocedural graph construction, WTO widening points,
+the CFG-space fixpoint, and access-based localization."""
 
 import pytest
 
 from repro.analysis.dense import build_interproc_graph, run_dense
 from repro.analysis.preanalysis import run_preanalysis
-from repro.analysis.worklist import (
-    AnalysisBudgetExceeded,
-    WorklistSolver,
-    find_widening_points,
-)
+from repro.analysis.schedule import GraphView, widening_points_for
 from repro.domains.absloc import VarLoc
 from repro.domains.state import AbsState
 from repro.ir.commands import CCall, CExit, CRetBind
 from repro.ir.program import build_program
+from repro.runtime.errors import BudgetExceeded
 
 
 def setup(src):
@@ -78,7 +75,9 @@ class TestWideningPoints:
             "int main(void) { int i = 0; while (i < 5) i = i + 1; return i; }"
         )
         graph = build_interproc_graph(program, pre.site_callees)
-        wps = find_widening_points([program.entry_node().nid], graph.succs)
+        _, wps = widening_points_for(
+            GraphView((program.entry_node().nid,), graph.succs)
+        )
         head = next(
             n.nid
             for n in program.cfgs["main"].nodes
@@ -92,23 +91,29 @@ class TestWideningPoints:
             "int main(void) { return f(9); }"
         )
         graph = build_interproc_graph(program, pre.site_callees)
-        wps = find_widening_points([program.entry_node().nid], graph.succs)
+        _, wps = widening_points_for(
+            GraphView((program.entry_node().nid,), graph.succs)
+        )
         assert program.cfgs["f"].entry.nid in wps
 
     def test_loop_free_program_has_none_in_main(self):
         program, pre = setup("int main(void) { int x = 1; return x; }")
         graph = build_interproc_graph(program, pre.site_callees)
-        wps = find_widening_points([program.entry_node().nid], graph.succs)
+        _, wps = widening_points_for(
+            GraphView((program.entry_node().nid,), graph.succs)
+        )
         main_nodes = {n.nid for n in program.cfgs["main"].nodes}
         assert not (wps & main_nodes)
 
 
 class TestWorklistSolver:
+    """run_dense's fixpoint engine: budget and narrowing."""
+
     def test_budget_raises(self):
         program, pre = setup(
             "int main(void) { int i = 0; while (i < 9999) i = i + 1; return i; }"
         )
-        with pytest.raises(AnalysisBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             run_dense(program, pre, max_iterations=2)
 
     def test_narrowing_tightens(self):

@@ -31,6 +31,7 @@ from repro.analysis.sparse import run_sparse
 from repro.bench.codegen import WorkloadSpec, generate_source
 from repro.domains.packs import build_packs
 from repro.ir.program import build_program
+from tests.analysis.datadep_oracle import chain_generator
 from tests.conftest import collect_mismatches
 
 #: number of random programs; CI's fuzz-smoke step lowers this via the
@@ -125,16 +126,18 @@ def test_octagon_engines_agree(seed, tmp_path):
 @pytest.mark.parametrize("method", ["ssa", "reaching"])
 @pytest.mark.parametrize("bypass", [True, False])
 def test_dependency_generator_variants_agree(method, bypass, tmp_path):
-    """Both dependency generators, with and without intermediary bypass,
-    land on the same fixpoint (one representative seed per variant)."""
+    """SSA chains and the reaching-definitions oracle's, with and without
+    intermediary bypass, land on the same fixpoint (one representative
+    seed per variant)."""
     seed = SEEDS[0]
     src = generate_source(tree_spec(seed))
     program = build_program(src)
     pre = run_preanalysis(program)
     dense = run_dense(program, pre, strict=False, widen=False)
-    sparse = run_sparse(
-        program, pre, method=method, bypass=bypass, strict=False, widen=False
-    )
+    with chain_generator(method):
+        sparse = run_sparse(
+            program, pre, bypass=bypass, strict=False, widen=False
+        )
     mismatches = collect_mismatches(program, dense, sparse)
     if mismatches:
         _fail(

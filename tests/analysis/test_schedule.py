@@ -1,14 +1,12 @@
-"""Unit tests for the WTO construction and the priority worklists."""
+"""Unit tests for the WTO construction and the priority worklist."""
 
-import pytest
-
+from repro.analysis.engine import CfgSpace, FixpointEngine
 from repro.analysis.schedule import (
-    FifoWorklist,
     PriorityWorklist,
     SchedulerStats,
     compute_wto,
-    make_worklist,
 )
+from repro.domains.state import AbsState
 
 
 def wto_of(succs, roots=(1,)):
@@ -124,7 +122,7 @@ class TestWTOConstruction:
 class TestWorklists:
     def test_priority_pops_in_wto_order(self):
         prio = {1: 0, 2: 1, 3: 2}
-        work = make_worklist("wto", prio, [3, 1, 2])
+        work = PriorityWorklist(prio, [3, 1, 2])
         assert [work.pop(), work.pop(), work.pop()] == [1, 2, 3]
         assert not work
 
@@ -142,20 +140,22 @@ class TestWorklists:
         assert work.pop() == 5
         assert work.pop() == 99
 
-    def test_fifo_preserves_order(self):
-        work = make_worklist("fifo", None, [3, 1, 2])
-        assert isinstance(work, FifoWorklist)
-        assert [work.pop(), work.pop(), work.pop()] == [3, 1, 2]
+    def test_engine_without_priority_pops_in_id_order(self):
+        """A FixpointEngine built without a WTO priority map (the
+        pre-analysis's one-point space) pops its seeds by node id."""
+        popped = []
 
-    def test_wto_without_priority_falls_back_to_fifo(self):
-        assert isinstance(make_worklist("wto", None, [1]), FifoWorklist)
+        def transfer(nid, state):
+            popped.append(nid)
+            return state
 
-    def test_unknown_scheduler(self):
-        with pytest.raises(ValueError):
-            make_worklist("lifo", None, [])
+        seeds = {nid: AbsState() for nid in (3, 1, 2)}
+        engine = FixpointEngine(CfgSpace({}, {}, seeds), transfer, set())
+        engine.solve()
+        assert popped == [1, 2, 3]
 
     def test_revisit_counters(self):
-        work = FifoWorklist([1])
+        work = PriorityWorklist({}, [1])
         work.pop()
         work.add(1)
         work.pop()
@@ -170,8 +170,9 @@ class TestWorklists:
 
     def test_inversion_counter(self):
         prio = {1: 0, 2: 1}
-        work = FifoWorklist([2, 1], priority=prio)
+        work = PriorityWorklist(prio, [2])
         work.pop()  # 2 (priority 1)
+        work.add(1)
         work.pop()  # 1 (priority 0) -> inversion
         assert work.inversions == 1
 
@@ -182,7 +183,6 @@ class TestWorklists:
             work, widening_points=3, cache_delta=(7, 3)
         )
         d = stats.as_dict()
-        assert d["scheduler"] == "wto"
         assert d["widening_points"] == 3
         assert d["join_cache_hits"] == 7
         assert d["join_cache_hit_rate"] == 0.7

@@ -9,10 +9,16 @@ recursion cycles the interval widening becomes genuinely order-sensitive
 (either schedule can be the more precise one at individual nodes — see
 DESIGN.md §8), so the identity tests here use finite-call-structure
 workloads across all six engine×domain combinations.
+
+The engine has one schedule (WTO priority); the FIFO order it is compared
+against lives here as a test oracle, swapped in for the engine's worklist.
 """
+
+from collections import deque
 
 import pytest
 
+from repro.analysis import engine as engine_module
 from repro.api import analyze
 from repro.bench.codegen import WorkloadSpec, generate_source
 
@@ -66,6 +72,48 @@ int main() {
 """
 
 
+class FifoWorklist:
+    """The classic FIFO deque + membership set, with the counters
+    :class:`~repro.analysis.schedule.SchedulerStats` reads. Ignores the
+    WTO priority map it is built with."""
+
+    #: how many runs built one (proves the oracle was swapped in)
+    built = 0
+
+    def __init__(self, priority, initial=()):
+        FifoWorklist.built += 1
+        self._deque = deque()
+        self._in = set()
+        self.pops = 0
+        self.pop_counts = {}
+        self.inversions = 0
+        self.max_size = 0
+        for node in initial:
+            self.add(node)
+
+    def add(self, node):
+        if node not in self._in:
+            self._in.add(node)
+            self._deque.append(node)
+            self.max_size = max(self.max_size, len(self._deque))
+
+    def pending(self):
+        return list(self._deque)
+
+    def pop(self):
+        node = self._deque.popleft()
+        self._in.discard(node)
+        self.pops += 1
+        self.pop_counts[node] = self.pop_counts.get(node, 0) + 1
+        return node
+
+    def __len__(self):
+        return len(self._deque)
+
+    def __contains__(self, node):
+        return node in self._in
+
+
 def assert_tables_equal(wto_run, fifo_run, label):
     wt, ft = wto_run.result.table, fifo_run.result.table
     assert set(wt) == set(ft), f"{label}: different node sets"
@@ -77,10 +125,12 @@ def assert_tables_equal(wto_run, fifo_run, label):
 
 
 def run_both(source, domain, mode, **options):
-    wto = analyze(source, domain=domain, mode=mode, scheduler="wto", **options)
-    fifo = analyze(source, domain=domain, mode=mode, scheduler="fifo", **options)
-    assert wto.scheduler_stats.scheduler == "wto"
-    assert fifo.scheduler_stats.scheduler == "fifo"
+    wto = analyze(source, domain=domain, mode=mode, **options)
+    built = FifoWorklist.built
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module, "PriorityWorklist", FifoWorklist)
+        fifo = analyze(source, domain=domain, mode=mode, **options)
+    assert FifoWorklist.built > built, "the FIFO oracle never ran"
     return wto, fifo
 
 

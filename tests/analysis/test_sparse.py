@@ -3,9 +3,9 @@
 from repro.analysis.dense import run_dense
 from repro.analysis.preanalysis import run_preanalysis
 from repro.analysis.sparse import run_sparse
-from repro.analysis.worklist import AnalysisBudgetExceeded
 from repro.domains.absloc import VarLoc
 from repro.ir.program import build_program
+from repro.runtime.errors import BudgetExceeded
 
 import pytest
 
@@ -139,7 +139,7 @@ class TestStatistics:
         """
         program = build_program(src)
         pre = run_preanalysis(program)
-        with pytest.raises(AnalysisBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             run_sparse(program, pre, max_iterations=3)
 
 

@@ -1,42 +1,44 @@
-"""Generic worklist solver unit tests on hand-built graphs."""
+"""The fixpoint engine over a control-flow space (equation (3)), and the
+WTO widening-point selection, on hand-built graphs."""
 
 import pytest
 
-from repro.analysis.worklist import (
-    AnalysisBudgetExceeded,
-    WorklistSolver,
-    find_widening_points,
-)
+from repro.analysis.engine import CfgSpace, FixpointEngine
+from repro.analysis.schedule import GraphView, widening_points_for
 from repro.domains.absloc import VarLoc
 from repro.domains.interval import Interval
 from repro.domains.state import AbsState
 from repro.domains.value import AbsValue
+from repro.runtime.errors import BudgetExceeded
 
 X = VarLoc("x")
 
 
-def state(lo, hi):
-    s = AbsState()
-    s.set(X, AbsValue.of_interval(Interval.range(lo, hi)))
-    return s
+def wto_heads(roots, succs):
+    return widening_points_for(GraphView(tuple(roots), succs))[1]
+
+
+def solve(succs, preds, transfer, wps, entries, edge_transform=None, **kwargs):
+    space = CfgSpace(succs, preds, entries, edge_transform=edge_transform)
+    return FixpointEngine(space, transfer, wps, **kwargs).solve()
 
 
 class TestWideningPointDetection:
     def test_acyclic_graph_has_none(self):
         succs = {1: [2, 3], 2: [4], 3: [4], 4: []}
-        assert find_widening_points([1], succs) == set()
+        assert wto_heads([1], succs) == set()
 
     def test_self_loop(self):
         succs = {1: [1]}
-        assert find_widening_points([1], succs) == {1}
+        assert wto_heads([1], succs) == {1}
 
     def test_simple_cycle(self):
         succs = {1: [2], 2: [3], 3: [2], 4: []}
-        assert find_widening_points([1], succs) == {2}
+        assert wto_heads([1], succs) == {2}
 
     def test_nested_cycles(self):
         succs = {1: [2], 2: [3], 3: [4], 4: [3, 2], 5: []}
-        wps = find_widening_points([1], succs)
+        wps = wto_heads([1], succs)
         assert wps == {2, 3}
 
     def test_every_cycle_is_cut(self):
@@ -50,7 +52,7 @@ class TestWideningPointDetection:
             5: [6],
             6: [5, 3],
         }
-        wps = find_widening_points([1], succs)
+        wps = wto_heads([1], succs)
         remaining = {
             n: [s for s in ss if s not in wps and n not in wps]
             for n, ss in succs.items()
@@ -84,8 +86,7 @@ class TestSolver:
                 out.set(X, AbsValue.of_const(7))
             return out
 
-        solver = WorklistSolver(succs, preds, transfer, set())
-        table = solver.solve({1: AbsState()})
+        table = solve(succs, preds, transfer, set(), {1: AbsState()})
         assert table[3].get(X).itv == Interval.const(7)
 
     def test_join_at_merge(self):
@@ -100,8 +101,7 @@ class TestSolver:
                 out.set(X, AbsValue.of_const(9))
             return out
 
-        solver = WorklistSolver(succs, preds, transfer, set())
-        table = solver.solve({1: AbsState()})
+        table = solve(succs, preds, transfer, set(), {1: AbsState()})
         assert table[4].get(X).itv == Interval.range(1, 9)
 
     def test_none_transfer_prunes(self):
@@ -113,8 +113,7 @@ class TestSolver:
                 return None
             return s
 
-        solver = WorklistSolver(succs, preds, transfer, set())
-        table = solver.solve({1: AbsState()})
+        table = solve(succs, preds, transfer, set(), {1: AbsState()})
         assert 3 not in table
 
     def test_widening_terminates_counter(self):
@@ -135,8 +134,7 @@ class TestSolver:
                 )
             return out
 
-        solver = WorklistSolver(succs, preds, transfer, {2})
-        table = solver.solve({1: AbsState()})
+        table = solve(succs, preds, transfer, {2}, {1: AbsState()})
         assert table[2].get(X).itv.hi is None  # widened
 
     def test_no_widening_diverges_into_budget(self):
@@ -154,11 +152,11 @@ class TestSolver:
             )
             return out
 
-        solver = WorklistSolver(
-            succs, preds, transfer, set(), max_iterations=500
-        )
-        with pytest.raises(AnalysisBudgetExceeded):
-            solver.solve({1: AbsState()})
+        with pytest.raises(BudgetExceeded):
+            solve(
+                succs, preds, transfer, set(), {1: AbsState()},
+                max_iterations=500,
+            )
 
     def test_edge_transform_filters(self):
         succs = {1: [2], 2: [3], 3: []}
@@ -175,10 +173,10 @@ class TestSolver:
                 return s.remove({X})
             return s
 
-        solver = WorklistSolver(
-            succs, preds, transfer, set(), edge_transform=edge_transform
+        table = solve(
+            succs, preds, transfer, set(), {1: AbsState()},
+            edge_transform=edge_transform,
         )
-        table = solver.solve({1: AbsState()})
         assert X in table[2].locations()
         assert X not in table[3].locations()
 
@@ -196,6 +194,7 @@ class TestSolver:
                 out.set(X, AbsValue.of_const(3))
             return out
 
-        solver = WorklistSolver(succs, preds, transfer, set())
-        table = solver.solve({1: AbsState(), 2: AbsState()})
+        table = solve(
+            succs, preds, transfer, set(), {1: AbsState(), 2: AbsState()}
+        )
         assert table[2].get(X).itv == Interval.const(3)

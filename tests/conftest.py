@@ -14,6 +14,7 @@ from repro.domains.value import BOT as VALUE_BOT
 from repro.frontend.errors import DiagnosticBag
 from repro.frontend.preprocessor import preprocess
 from repro.ir.program import Program, build_program
+from tests.analysis.datadep_oracle import chain_generator
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -36,9 +37,10 @@ def lemma_mode_mismatches(
     is empty. Only call on programs whose abstract chains are finite."""
     program, pre = build(src)
     dense = run_dense(program, pre, strict=False, widen=False)
-    sparse = run_sparse(
-        program, pre, method=method, bypass=bypass, strict=False, widen=False
-    )
+    with chain_generator(method):
+        sparse = run_sparse(
+            program, pre, bypass=bypass, strict=False, widen=False
+        )
     return collect_mismatches(program, dense, sparse)
 
 

@@ -8,17 +8,13 @@ from repro.domains.value import (
     cache_stats,
     clear_intern_tables,
     intern_value,
-    interning_enabled,
-    set_interning,
 )
 
 
 @pytest.fixture(autouse=True)
 def fresh_tables():
-    """Each test starts with cold tables and leaves interning enabled."""
-    set_interning(True)
-    yield
-    set_interning(True)
+    """Each test starts with cold tables."""
+    clear_intern_tables()
 
 
 def test_intern_returns_canonical_instance():
@@ -72,21 +68,6 @@ def test_equality_fast_path_identity():
     assert v.widen(v) is v
 
 
-def test_disable_clears_and_stops_consing():
-    a = intern_value(AbsValue.of_interval(Interval(1, 2)))
-    set_interning(False)
-    assert not interning_enabled()
-    b = intern_value(AbsValue.of_interval(Interval(1, 2)))
-    c = intern_value(AbsValue.of_interval(Interval(1, 2)))
-    assert b is not c, "disabled interning must be a no-op"
-    # joins still compute the correct value without touching the memo
-    h0, m0 = cache_stats()
-    assert b.join(a).itv == Interval(1, 2)
-    assert cache_stats() == (h0, m0)
-    set_interning(True)
-    assert interning_enabled()
-
-
 def test_overflow_clears_table_keeps_semantics():
     import repro.domains.value as V
 
@@ -133,26 +114,3 @@ def test_overflow_clears_memo_caches_with_tables():
     finally:
         V._INTERN_LIMIT = old_limit
         clear_intern_tables()
-
-
-def test_results_identical_with_and_without_interning():
-    """End-to-end ablation: interning is invisible in the computed tables."""
-    from repro.api import analyze
-
-    source = """
-    int g;
-    int f(int x) {
-      int i = 0;
-      while (i < x) { g = g + 2; i = i + 1; }
-      return g;
-    }
-    int main() { return f(7); }
-    """
-    set_interning(True)
-    with_tables = analyze(source, mode="sparse").result.table
-    set_interning(False)
-    without_tables = analyze(source, mode="sparse").result.table
-    set_interning(True)
-    assert set(with_tables) == set(without_tables)
-    for nid in with_tables:
-        assert with_tables[nid] == without_tables[nid]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.worklist import AnalysisBudgetExceeded
 from repro.runtime.budget import Budget, BudgetMeter
 from repro.runtime.errors import (
     AnalysisError,
@@ -101,9 +100,6 @@ class TestExceptionHierarchy:
     def test_budget_exceeded_is_analysis_and_repro_error(self):
         assert issubclass(BudgetExceeded, AnalysisError)
         assert issubclass(BudgetExceeded, ReproError)
-
-    def test_legacy_alias_preserved(self):
-        assert AnalysisBudgetExceeded is BudgetExceeded
 
     def test_frontend_error_joined_the_hierarchy(self):
         from repro.frontend.errors import FrontendError, ParseError

@@ -226,7 +226,7 @@ class TestNarrowingBudget:
     """Satellite: narrowing passes count against the iteration budget."""
 
     def test_narrowing_charged_to_budget(self):
-        from repro.analysis.worklist import WorklistSolver
+        from repro.analysis.engine import CfgSpace, FixpointEngine
         from repro.domains.absloc import VarLoc
         from repro.domains.state import AbsState
         from repro.domains.value import AbsValue
@@ -242,19 +242,18 @@ class TestNarrowingBudget:
 
         # Main loop needs 3 iterations; the budget allows 4, so the first
         # narrowing pass (3 more node visits) must trip it.
-        solver = WorklistSolver(
-            succs,
-            preds,
+        engine = FixpointEngine(
+            CfgSpace(succs, preds, {1: AbsState()}),
             transfer,
             set(),
             narrowing_passes=5,
             budget=Budget(max_iterations=4),
         )
         with pytest.raises(BudgetExceeded):
-            solver.solve({1: AbsState()})
+            engine.solve()
 
     def test_narrowing_within_budget_completes(self):
-        from repro.analysis.worklist import WorklistSolver
+        from repro.analysis.engine import CfgSpace, FixpointEngine
         from repro.domains.absloc import VarLoc
         from repro.domains.state import AbsState
         from repro.domains.value import AbsValue
@@ -268,15 +267,14 @@ class TestNarrowingBudget:
             out.set(X, AbsValue.of_const(1))
             return out
 
-        solver = WorklistSolver(
-            succs,
-            preds,
+        engine = FixpointEngine(
+            CfgSpace(succs, preds, {1: AbsState()}),
             transfer,
             set(),
             narrowing_passes=2,
             budget=Budget(max_iterations=50),
         )
-        table = solver.solve({1: AbsState()})
+        table = engine.solve()
         assert 1 in table and 2 in table
 
 

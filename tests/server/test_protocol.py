@@ -13,6 +13,7 @@ from repro.server.protocol import (
     decode_request,
     encode_response,
     error_response,
+    handle_request,
     serve_lines,
 )
 from repro.server.session import ServeSession
@@ -115,6 +116,38 @@ def test_shutdown_stops_the_loop():
     assert len(replies) == 1
     assert replies[0] == {"id": 1, "ok": True, "op": "shutdown"}
     assert session.shutdown_requested
+
+
+def test_on_edit_hook_runs_after_successful_edits_only():
+    session = ServeSession(SRC, strict=False, widen=False)
+    calls = []
+
+    def on_edit():
+        calls.append(session.generation)
+
+    def handle(line):
+        return json.loads(handle_request(session, line, on_edit=on_edit))
+
+    assert handle('{"id": 1, "op": "ping"}')["ok"]
+    bad = handle('{"id": 2, "op": "edit", "function": "f"}')
+    assert bad["error"] == "bad-request"
+    assert calls == []
+    edit = '{"id": 3, "op": "edit", "function": "f", "body": "    return a;"}'
+    assert handle(edit)["generation"] == 1
+    assert calls == [1], "the hook sees the applied edit, once"
+
+
+def test_on_edit_hook_failure_is_an_error_reply():
+    session = ServeSession(SRC, strict=False, widen=False)
+
+    def on_edit():
+        raise OSError("disk full")
+
+    edit = '{"id": 4, "op": "edit", "function": "f", "body": "    return a;"}'
+    reply = json.loads(handle_request(session, edit, on_edit=on_edit))
+    assert reply == {
+        "id": 4, "ok": False, "error": "internal", "message": "OSError: disk full"
+    }
 
 
 def test_check_query_is_json_serializable():

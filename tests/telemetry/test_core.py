@@ -210,7 +210,7 @@ class TestMergeFixpointStats:
 
     def test_scheduler_stats_merge(self):
         tel = Telemetry()
-        sched = SchedulerStats(scheduler="wto")
+        sched = SchedulerStats()
         sched.pops = 20
         sched.revisits = 6
         sched.inversions = 1
@@ -222,7 +222,7 @@ class TestMergeFixpointStats:
         assert tel.counters["sched.revisits"] == 6
         assert tel.counters["value.join_cache_hits"] == 10
         assert tel.gauges["sched.widening_points"] == 2
-        assert tel.gauges["sched.scheduler"] == "wto"
+        assert "sched.scheduler" not in tel.gauges
 
 
 class TestMemoryTracking:

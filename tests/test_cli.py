@@ -83,6 +83,14 @@ class TestAnalyzeCommand:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent.c"]) == 2
 
+    def test_scheduler_flag_is_gone(self, clean_file, capsys):
+        """The fixpoint has one visit order (WTO); ``--scheduler`` is an
+        unrecognized argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", clean_file, "--scheduler", "fifo"])
+        assert exc.value.code == 2
+        assert "--scheduler" in capsys.readouterr().err
+
 
 class TestRobustness:
     @pytest.fixture
