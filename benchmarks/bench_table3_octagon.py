@@ -49,8 +49,8 @@ def test_octagon_sparse(benchmark, prepared_octagon, size):
     )
     d, u = result.defuse.average_sizes()
     print(
-        f"\nTable3[{prep.spec.name}]: Dep={result.time_dep:.2f}s "
-        f"Fix={result.time_fix:.2f}s D̂(c)={d:.2f} Û(c)={u:.2f} "
+        f"\nTable3[{prep.spec.name}]: Dep={result.stats.time_dep:.2f}s "
+        f"Fix={result.stats.time_fix:.2f}s D̂(c)={d:.2f} Û(c)={u:.2f} "
         f"avg-pack={result.packs.average_size():.1f}"
     )
     # the paper reports pack-granular sparsity; packs average 3–7 members

@@ -2,7 +2,7 @@
 pre-analysis, dense (vanilla/base), sparse, and relational."""
 
 from repro.analysis.defuse import DefUseInfo, compute_defuse
-from repro.analysis.dense import DenseResult, run_dense
+from repro.analysis.dense import run_dense
 from repro.analysis.engine import (
     CfgSpace,
     DepGraphSpace,
@@ -15,12 +15,11 @@ from repro.analysis.engine import (
 )
 from repro.analysis.preanalysis import PreAnalysis, run_preanalysis
 from repro.analysis.schedule import GraphView, widening_points_for
-from repro.analysis.sparse import SparseResult, run_sparse
+from repro.analysis.sparse import run_sparse
 
 __all__ = [
     "DefUseInfo",
     "compute_defuse",
-    "DenseResult",
     "run_dense",
     "CfgSpace",
     "DepGraphSpace",
@@ -34,6 +33,5 @@ __all__ = [
     "widening_points_for",
     "PreAnalysis",
     "run_preanalysis",
-    "SparseResult",
     "run_sparse",
 ]

@@ -11,18 +11,12 @@ against which the sparse analyzer is measured.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.analysis.defuse import DefUseInfo, compute_defuse, localization_set
-from repro.analysis.engine import (
-    CfgSpace,
-    DepGraphSpace,
-    FixpointEngine,
-    FixpointResult,
-)
-from repro.analysis.preanalysis import PreAnalysis, run_preanalysis
+from repro.analysis.engine import FixpointResult
+from repro.analysis.plan import EnginePlan, prepare_plan, run_plan
+from repro.analysis.preanalysis import PreAnalysis
 from repro.analysis.schedule import GraphView, widening_points_for
 from repro.analysis.semantics import AnalysisContext, transfer
 from repro.domains.absloc import AbsLoc
@@ -30,9 +24,6 @@ from repro.domains.state import AbsState
 from repro.ir.commands import CCall, CRetBind
 from repro.ir.program import Program
 from repro.runtime.budget import Budget
-from repro.runtime.degrade import DegradeController, Diagnostics, make_watchdog
-from repro.runtime.faults import FaultInjector
-from repro.telemetry.core import Telemetry
 
 
 @dataclass
@@ -124,85 +115,6 @@ def _resolve_thresholds(program, spec):
     return spec
 
 
-#: The dense engines return the unified result type (legacy alias).
-DenseResult = FixpointResult
-
-
-@dataclass
-class EnginePlan:
-    """Everything a fixpoint run needs, separated from the engine that will
-    execute it. Each ``prepare_*`` function (here and in ``sparse.py`` /
-    ``relational.py``) builds one plan per engine×domain combo; the
-    ``run_*`` drivers and serve's incremental re-solve
-    (:mod:`repro.analysis.incremental`) then instantiate spaces and engines
-    from the *same* plan — identical graphs, transfers, WTO priorities,
-    widening points, and thresholds — which is what makes a served answer
-    comparable to a fresh ``analyze()`` structure for structure."""
-
-    program: Program
-    pre: PreAnalysis
-    domain: str  # "interval" | "octagon"
-    mode: str  # "vanilla" | "base" | "sparse"
-    strict: bool
-    widen: bool
-    graph: "InterprocGraph"
-    #: seed states for the CFG space (strict: entry only; non-strict: all)
-    entries: dict[int, object]
-    transfer: Callable[[int, object], object]
-    #: zero-argument bottom-state constructor of the plan's lattice
-    state_factory: Callable[[], object]
-    wto: object
-    widening_points: set[int]
-    thresholds: tuple[int, ...] | None
-    widening_delay: int
-    entry_nid: int
-    node_ids: tuple[int, ...]
-    #: builds the CfgSpace edge transform given a zero-arg thunk returning
-    #: the live engine table (the octagon-base return overlay reads callee
-    #: exit states through it); None when the mode has no transform
-    make_edge_transform: Callable | None = None
-    #: sparse modes: the dependency graph and its cell strategy
-    deps: object = None
-    cells_factory: Callable | None = None
-    dep_count: int = 0
-    raw_dep_count: int = 0
-    defuse: object = None
-    packs: object = None
-    ctx: object = None
-    time_pre: float = 0.0
-    time_dep: float = 0.0
-
-    @property
-    def sparse(self) -> bool:
-        return self.mode == "sparse"
-
-    def edge_transform_for(self, get_table):
-        if self.make_edge_transform is None:
-            return None
-        return self.make_edge_transform(get_table)
-
-    def make_program_space(self, get_table=None):
-        """The whole-program propagation space this plan describes (serve's
-        cone solve wraps it in an :class:`~repro.analysis.incremental.ConeSpace`
-        membrane)."""
-        if self.sparse:
-            return DepGraphSpace(
-                self.deps,
-                self.graph,
-                self.cells_factory(),
-                node_ids=self.node_ids,
-                entry=self.entry_nid,
-                strict=self.strict,
-            )
-        return CfgSpace(
-            self.graph.succs,
-            self.graph.preds,
-            self.entries,
-            edge_transform=self.edge_transform_for(get_table),
-            roots=[self.entry_nid],
-        )
-
-
 def prepare_interval_dense(
     program: Program,
     pre: PreAnalysis,
@@ -266,7 +178,6 @@ def prepare_interval_dense(
         domain="interval",
         mode="base" if localize else "vanilla",
         strict=strict,
-        widen=widen,
         graph=graph,
         entries=entries,
         transfer=node_transfer,
@@ -300,7 +211,7 @@ def run_dense(
     telemetry=None,
     checkpoint=None,
     resume_from=None,
-) -> DenseResult:
+) -> FixpointResult:
     """Run the dense interval analysis (``vanilla`` or, with ``localize``,
     ``base``).
 
@@ -312,71 +223,28 @@ def run_dense(
     table is the exact ``lfp F♯`` of the paper and Lemma 2's equality with
     the sparse result holds bit for bit.
 
-    ``budget`` (or the legacy ``max_iterations``) limits the fixpoint work;
-    ``on_budget="degrade"`` fills unconverged procedures from the
-    pre-analysis state instead of raising :class:`BudgetExceeded`, with the
-    actions recorded in the result's ``diagnostics``. ``faults`` accepts a
-    :class:`repro.runtime.faults.FaultPlan` for deterministic failure tests.
+    The budget, degradation, fault and checkpoint options are
+    :func:`~repro.analysis.plan.run_plan`'s.
     """
-    if on_budget not in ("fail", "degrade"):
-        raise ValueError(f"on_budget must be 'fail' or 'degrade', not {on_budget!r}")
-    tel = Telemetry.coerce(telemetry)
-    start = time.perf_counter()
-    if pre is None:
-        pre = run_preanalysis(program, telemetry=tel)
-    resolved_budget = Budget.coerce(budget, max_iterations=max_iterations)
-    diagnostics = Diagnostics(budget=resolved_budget)
-    degrade = None
-    if on_budget == "degrade":
-        pre_state = pre.state
-        degrade = DegradeController(
+    return run_plan(
+        prepare_plan(
             program,
-            fallback_state=lambda proc: pre_state.copy(),
-            diagnostics=diagnostics,
-            watchdog=make_watchdog(pre_state) if watchdog else None,
-        )
-    plan = prepare_interval_dense(
-        program,
-        pre,
-        localize=localize,
-        strict=strict,
-        widen=widen,
-        widening_thresholds=widening_thresholds,
-        widening_delay=widening_delay,
-    )
-    box: dict = {}
-    space = plan.make_program_space(lambda: box["engine"].table)
-    engine = FixpointEngine(
-        space,
-        plan.transfer,
-        plan.widening_points,
-        widening_thresholds=plan.thresholds,
-        widening_delay=plan.widening_delay,
+            pre,
+            "interval",
+            "base" if localize else "vanilla",
+            strict=strict,
+            widen=widen,
+            widening_thresholds=widening_thresholds,
+            widening_delay=widening_delay,
+            telemetry=telemetry,
+        ),
         narrowing_passes=narrowing_passes,
-        budget=resolved_budget,
-        faults=FaultInjector.coerce(faults),
-        degrade=degrade,
-        priority=plan.wto.priority,
-        telemetry=tel,
-        checkpointer=checkpoint,
-    )
-    box["engine"] = engine
-    if resume_from is not None:
-        engine.restore(resume_from)
-    table = engine.solve()
-    elapsed = time.perf_counter() - start
-    engine.stats.time_fix = elapsed
-    diagnostics.iterations = engine.stats.iterations
-    diagnostics.timings["fix"] = elapsed
-    if engine.scheduler_stats is not None:
-        diagnostics.scheduler = engine.scheduler_stats.as_dict()
-    return FixpointResult(
-        table,
-        engine.stats,
-        pre=pre,
-        defuse=plan.defuse,
-        graph=plan.graph,
-        elapsed=elapsed,
-        diagnostics=diagnostics,
-        scheduler_stats=engine.scheduler_stats,
+        budget=budget,
+        max_iterations=max_iterations,
+        on_budget=on_budget,
+        faults=faults,
+        watchdog=watchdog,
+        telemetry=telemetry,
+        checkpoint=checkpoint,
+        resume_from=resume_from,
     )

@@ -24,14 +24,15 @@ with:
 * a **transfer adapter**: a plain ``(nid, state) -> state | None`` callable
   closing over the program's node map and analysis context.
 
-``dense.py``, ``sparse.py``, ``relational.py``, and ``preanalysis.py`` are
-thin configurations of this core; their former result types are all the one
-:class:`FixpointResult`.
+``dense.py``, ``sparse.py`` and ``relational.py`` build
+:class:`~repro.analysis.plan.EnginePlan` configurations of this core, which
+:func:`~repro.analysis.plan.run_plan` solves into one
+:class:`FixpointResult`; ``preanalysis.py`` runs it over the one-point
+space.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -116,8 +117,7 @@ class FixpointStats:
 @dataclass
 class FixpointResult:
     """A fixpoint table plus its supporting artifacts — the one results API
-    shared by all engines (formerly ``DenseResult``/``SparseResult``/
-    ``RelResult``). Fields not produced by a given engine stay None."""
+    shared by all engines. Fields not produced by a given engine stay None."""
 
     table: dict[int, "StateLattice"]
     stats: FixpointStats = field(default_factory=FixpointStats)
@@ -128,25 +128,10 @@ class FixpointResult:
     graph: "InterprocGraph | None" = None
     #: relational runs: the variable packing in effect
     packs: object = None
-    elapsed: float = 0.0
     diagnostics: object = None
     scheduler_stats: SchedulerStats | None = None
     #: zero-argument bottom-state constructor for out-of-table queries
     bottom: Callable[[], "StateLattice"] = AbsState
-
-    # -- legacy accessors (pre-unification field names) ------------------------
-
-    @property
-    def iterations(self) -> int:
-        return self.stats.iterations
-
-    @property
-    def time_dep(self) -> float:
-        return self.stats.time_dep
-
-    @property
-    def time_fix(self) -> float:
-        return self.stats.time_fix
 
     # -- queries ---------------------------------------------------------------
 

@@ -29,7 +29,8 @@ This module supplies the three pieces that make that sound:
   :class:`ConeSpace` membrane so nothing outside the cone is ever visited
   — computes values identical to a from-scratch global fixpoint whenever
   the cone is widening-free (:func:`cone_is_exact`). Otherwise the caller
-  falls back to :func:`solve_global` and caches the result.
+  falls back to a whole-program :func:`~repro.analysis.plan.run_plan` and
+  caches the result.
 """
 
 from __future__ import annotations
@@ -37,12 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.analysis.dense import EnginePlan
-from repro.analysis.engine import (
-    FixpointEngine,
-    FixpointStats,
-    PropagationSpace,
-)
+from repro.analysis.engine import FixpointEngine, FixpointStats, PropagationSpace
+from repro.analysis.plan import EnginePlan, _engine_for
 from repro.ir.commands import CAlloc, CCall, CRetBind, CSet
 from repro.ir.program import Program
 from repro.runtime.budget import Budget
@@ -410,46 +407,46 @@ class ConeSpace(PropagationSpace):
     invariant — the invalidation-precision tests assert exactly that."""
 
     def __init__(self, inner: PropagationSpace, cone: set[int]) -> None:
-        self._inner = inner
+        self.inner = inner
         self.cone = set(cone)
 
     def bind(self, engine: "FixpointEngine") -> None:
         self.engine = engine
-        self._inner.bind(engine)
+        self.inner.bind(engine)
 
     def seeds(self):
-        self._inner.seeds()
+        self.inner.seeds()
         return sorted(self.cone)
 
     def runnable(self, nid: int) -> bool:
-        return nid in self.cone and self._inner.runnable(nid)
+        return nid in self.cone and self.inner.runnable(nid)
 
     def schedule_roots(self):
-        return self._inner.schedule_roots()
+        return self.inner.schedule_roots()
 
     def schedule_succs(self):
-        return self._inner.schedule_succs()
+        return self.inner.schedule_succs()
 
     def input_for(self, nid: int):
-        return self._inner.input_for(nid)
+        return self.inner.input_for(nid)
 
     def assemble_input(self, nid: int):
-        return self._inner.assemble_input(nid)
+        return self.inner.assemble_input(nid)
 
     def install(self, out):
-        return self._inner.install(out)
+        return self.inner.install(out)
 
     def after_transfer(self, nid: int, work) -> None:
-        self._inner.after_transfer(nid, work)
+        self.inner.after_transfer(nid, work)
 
     def propagate(self, nid: int, out, changed, work) -> None:
-        self._inner.propagate(nid, out, changed, work)
+        self.inner.propagate(nid, out, changed, work)
 
     def absorb_degraded(self, newly: set[int], work) -> None:
-        self._inner.absorb_degraded(newly, work)
+        self.inner.absorb_degraded(newly, work)
 
     def record_stats(self, stats: FixpointStats) -> None:
-        self._inner.record_stats(stats)
+        self.inner.record_stats(stats)
 
 
 def solve_cone(
@@ -470,54 +467,19 @@ def solve_cone(
     budget — the server degrades to the global solve then."""
     if plan.strict:
         raise ValueError("cone solving requires the non-strict formulation")
-    box: dict = {}
-    inner = plan.make_program_space(lambda: box["engine"].table)
-    space = ConeSpace(inner, cone)
-    engine = FixpointEngine(
-        space,
-        plan.transfer,
-        plan.widening_points,
-        widening_thresholds=plan.thresholds,
-        widening_delay=plan.widening_delay,
+    engine = _engine_for(
+        plan,
+        lambda inner: ConeSpace(inner, cone),
         budget=budget,
-        priority=plan.wto.priority,
         telemetry=telemetry,
     )
-    box["engine"] = engine
     engine.preload_table(dict(base_table))
     if plan.sparse:
+        inner = engine.space.inner
         cells = inner.cells
         for nid in cone:
             inner.in_cache[nid] = cells.assemble_cache(
                 plan.deps.in_edges(nid), engine.table
             )
-    table = engine.solve()
-    return table, engine.stats
-
-
-def solve_global(
-    plan: EnginePlan,
-    *,
-    narrowing_passes: int = 0,
-    budget: Budget | None = None,
-    telemetry=None,
-) -> tuple[dict[int, object], FixpointStats]:
-    """A from-scratch whole-program solve of the plan — the identical
-    engine construction the sequential ``run_*`` drivers use, so the table
-    is byte-for-byte what ``analyze()`` would compute."""
-    box: dict = {}
-    space = plan.make_program_space(lambda: box["engine"].table)
-    engine = FixpointEngine(
-        space,
-        plan.transfer,
-        plan.widening_points,
-        widening_thresholds=plan.thresholds,
-        widening_delay=plan.widening_delay,
-        narrowing_passes=narrowing_passes,
-        budget=budget,
-        priority=plan.wto.priority,
-        telemetry=telemetry,
-    )
-    box["engine"] = engine
     table = engine.solve()
     return table, engine.stats

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.engine import FixpointResult
 from repro.analysis.preanalysis import PreAnalysis, run_preanalysis
 from repro.analysis.semantics import Evaluator
-from repro.analysis.sparse import SparseResult, run_sparse
+from repro.analysis.sparse import run_sparse
 from repro.domains.absloc import AbsLoc, FieldLoc, VarLoc
 from repro.domains.state import AbsState
 from repro.domains.value import AbsValue
@@ -157,8 +158,8 @@ class InstanceComparison:
     semi_avg_d: float
     full_avg_u: float
     semi_avg_u: float
-    full: SparseResult
-    semi: SparseResult
+    full: FixpointResult
+    semi: FixpointResult
 
 
 def compare_instances(program: Program) -> InstanceComparison:

@@ -25,15 +25,10 @@ from typing import Iterator
 
 from repro.analysis.datadep import generate_datadeps
 from repro.analysis.defuse import DefUseInfo, close_proc_summaries
-from repro.analysis.dense import EnginePlan, build_interproc_graph
-from repro.analysis.engine import (
-    CellOps,
-    CfgSpace,
-    DepGraphSpace,
-    FixpointEngine,
-    FixpointResult,
-)
-from repro.analysis.preanalysis import PreAnalysis, run_preanalysis
+from repro.analysis.dense import build_interproc_graph
+from repro.analysis.engine import CellOps, FixpointResult
+from repro.analysis.plan import EnginePlan, prepare_plan, run_plan
+from repro.analysis.preanalysis import PreAnalysis
 from repro.analysis.schedule import GraphView, widening_points_for
 from repro.analysis.semantics import AnalysisContext, Evaluator
 from repro.domains.absloc import AbsLoc, RetLoc, VarLoc
@@ -61,26 +56,10 @@ from repro.ir.commands import (
 )
 from repro.ir.program import Program
 from repro.runtime.budget import Budget
-from repro.runtime.degrade import DegradeController, Diagnostics, make_watchdog
-from repro.runtime.faults import FaultInjector
 from repro.telemetry.core import Telemetry
 
 _NEGATED = {"<": ">=", ">": "<=", "<=": ">", ">=": "<", "==": "!=", "!=": "=="}
 
-
-def _make_rel_degrade(
-    program: Program, diagnostics: Diagnostics, watchdog: bool
-) -> DegradeController:
-    """Degradation for pack states: the pre-analysis tracks no relations, so
-    the per-procedure fallback is the ⊤ pack map (no relation claimed) —
-    trivially above every true state and trivially within the watchdog
-    bound."""
-    return DegradeController(
-        program,
-        fallback_state=lambda proc: PackState(),
-        diagnostics=diagnostics,
-        watchdog=make_watchdog(PackState()) if watchdog else None,
-    )
 
 #: sentinel distinguishing "no entry yet" from "pinned at ⊤" (None)
 _UNSET = object()
@@ -633,11 +612,6 @@ def compute_rel_defuse(
     return info
 
 
-#: The relational engines return the unified result type (legacy alias);
-#: ``bottom=PackState`` makes out-of-table queries answer ⊤ pack maps.
-RelResult = FixpointResult
-
-
 def prepare_rel_dense(
     program: Program,
     pre: PreAnalysis,
@@ -742,7 +716,6 @@ def prepare_rel_dense(
         domain="octagon",
         mode="base" if localize else "vanilla",
         strict=strict,
-        widen=widen,
         graph=graph,
         entries=entries,
         transfer=node_transfer,
@@ -777,63 +750,29 @@ def run_rel_dense(
     telemetry=None,
     checkpoint=None,
     resume_from=None,
-) -> RelResult:
+) -> FixpointResult:
     """Dense octagon analysis (``Octagon_vanilla`` / ``Octagon_base``)."""
-    if on_budget not in ("fail", "degrade"):
-        raise ValueError(f"on_budget must be 'fail' or 'degrade', not {on_budget!r}")
-    tel = Telemetry.coerce(telemetry)
-    start = time.perf_counter()
-    if pre is None:
-        pre = run_preanalysis(program, telemetry=tel)
-    resolved_budget = Budget.coerce(budget, max_iterations=max_iterations)
-    diagnostics = Diagnostics(budget=resolved_budget)
-    degrade = (
-        _make_rel_degrade(program, diagnostics, watchdog)
-        if on_budget == "degrade"
-        else None
-    )
-    plan = prepare_rel_dense(
-        program,
-        pre,
-        packs=packs,
-        localize=localize,
-        strict=strict,
-        widen=widen,
-        widening_delay=widening_delay,
-    )
-    box: dict = {}
-    space = plan.make_program_space(lambda: box["engine"].table)
-    engine = FixpointEngine(
-        space,
-        plan.transfer,
-        plan.widening_points,
-        widening_delay=plan.widening_delay,
+    return run_plan(
+        prepare_plan(
+            program,
+            pre,
+            "octagon",
+            "base" if localize else "vanilla",
+            packs=packs,
+            strict=strict,
+            widen=widen,
+            widening_delay=widening_delay,
+            telemetry=telemetry,
+        ),
         narrowing_passes=narrowing_passes,
-        budget=resolved_budget,
-        faults=FaultInjector.coerce(faults),
-        degrade=degrade,
-        priority=plan.wto.priority,
-        telemetry=tel,
-        checkpointer=checkpoint,
-    )
-    box["engine"] = engine
-    if resume_from is not None:
-        engine.restore(resume_from)
-    table = engine.solve()
-    diagnostics.iterations = engine.stats.iterations
-    if engine.scheduler_stats is not None:
-        diagnostics.scheduler = engine.scheduler_stats.as_dict()
-    return FixpointResult(
-        table,
-        engine.stats,
-        pre=pre,
-        defuse=plan.defuse,
-        graph=plan.graph,
-        packs=plan.packs,
-        elapsed=time.perf_counter() - start,
-        diagnostics=diagnostics,
-        scheduler_stats=engine.scheduler_stats,
-        bottom=PackState,
+        budget=budget,
+        max_iterations=max_iterations,
+        on_budget=on_budget,
+        faults=faults,
+        watchdog=watchdog,
+        telemetry=telemetry,
+        checkpoint=checkpoint,
+        resume_from=resume_from,
     )
 
 
@@ -983,7 +922,6 @@ def prepare_rel_sparse(
         domain="octagon",
         mode="sparse",
         strict=strict,
-        widen=widen,
         graph=graph,
         entries={},
         transfer=node_transfer,
@@ -1022,72 +960,28 @@ def run_rel_sparse(
     telemetry=None,
     checkpoint=None,
     resume_from=None,
-) -> RelResult:
+) -> FixpointResult:
     """Sparse octagon analysis (``Octagon_sparse``)."""
-    if on_budget not in ("fail", "degrade"):
-        raise ValueError(f"on_budget must be 'fail' or 'degrade', not {on_budget!r}")
-    tel = Telemetry.coerce(telemetry)
-    start = time.perf_counter()
-    if pre is None:
-        pre = run_preanalysis(program, telemetry=tel)
-    resolved_budget = Budget.coerce(budget, max_iterations=max_iterations)
-    diagnostics = Diagnostics(budget=resolved_budget)
-    degrade = (
-        _make_rel_degrade(program, diagnostics, watchdog)
-        if on_budget == "degrade"
-        else None
-    )
-    plan = prepare_rel_sparse(
-        program,
-        pre,
-        packs=packs,
-        bypass=bypass,
-        strict=strict,
-        widen=widen,
-        widening_delay=widening_delay,
-        telemetry=tel,
-    )
-
-    t_fix = time.perf_counter()
-    space = plan.make_program_space()
-    engine = FixpointEngine(
-        space,
-        plan.transfer,
-        plan.widening_points,
-        widening_delay=plan.widening_delay,
+    return run_plan(
+        prepare_plan(
+            program,
+            pre,
+            "octagon",
+            "sparse",
+            packs=packs,
+            bypass=bypass,
+            strict=strict,
+            widen=widen,
+            widening_delay=widening_delay,
+            telemetry=telemetry,
+        ),
         narrowing_passes=narrowing_passes,
-        budget=resolved_budget,
-        stage="sparse relational fixpoint",
-        faults=FaultInjector.coerce(faults),
-        degrade=degrade,
-        priority=plan.wto.priority,
-        telemetry=tel,
-        checkpointer=checkpoint,
-    )
-    if resume_from is not None:
-        engine.restore(resume_from)
-    table = engine.solve()
-    time_fix = time.perf_counter() - t_fix
-
-    stats = engine.stats
-    stats.time_dep = plan.time_dep
-    stats.time_fix = time_fix
-    stats.dep_count = plan.dep_count
-    stats.raw_dep_count = plan.raw_dep_count
-    diagnostics.iterations = stats.iterations
-    diagnostics.timings.update(dep=plan.time_dep, fix=time_fix)
-    if engine.scheduler_stats is not None:
-        diagnostics.scheduler = engine.scheduler_stats.as_dict()
-    return FixpointResult(
-        table,
-        stats,
-        pre=pre,
-        defuse=plan.defuse,
-        deps=plan.deps,
-        graph=plan.graph,
-        packs=plan.packs,
-        elapsed=time.perf_counter() - start,
-        diagnostics=diagnostics,
-        scheduler_stats=engine.scheduler_stats,
-        bottom=PackState,
+        budget=budget,
+        max_iterations=max_iterations,
+        on_budget=on_budget,
+        faults=faults,
+        watchdog=watchdog,
+        telemetry=telemetry,
+        checkpoint=checkpoint,
+        resume_from=resume_from,
     )

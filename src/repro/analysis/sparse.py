@@ -27,30 +27,16 @@ import time
 
 from repro.analysis.datadep import DataDepResult, generate_datadeps
 from repro.analysis.defuse import DefUseInfo, compute_defuse
-from repro.analysis.dense import (
-    EnginePlan,
-    _resolve_thresholds,
-    build_interproc_graph,
-)
-from repro.analysis.engine import (
-    DepGraphSpace,
-    FixpointEngine,
-    FixpointResult,
-    FixpointStats,
-    IntervalCells,
-)
-from repro.analysis.preanalysis import PreAnalysis, run_preanalysis
+from repro.analysis.dense import _resolve_thresholds, build_interproc_graph
+from repro.analysis.engine import FixpointResult, IntervalCells
+from repro.analysis.plan import EnginePlan, prepare_plan, run_plan
+from repro.analysis.preanalysis import PreAnalysis
 from repro.analysis.schedule import GraphView, widening_points_for
 from repro.analysis.semantics import AnalysisContext, transfer
+from repro.domains.state import AbsState
 from repro.ir.program import Program
 from repro.runtime.budget import Budget
-from repro.runtime.degrade import DegradeController, Diagnostics, make_watchdog
-from repro.runtime.faults import FaultInjector
 from repro.telemetry.core import Telemetry
-
-#: Legacy aliases — the sparse engine shares the unified result surface.
-SparseStats = FixpointStats
-SparseResult = FixpointResult
 
 
 def prepare_interval_sparse(
@@ -98,15 +84,12 @@ def prepare_interval_sparse(
     def node_transfer(nid, state):
         return transfer(node_map[nid], state, ctx)
 
-    from repro.domains.state import AbsState
-
     return EnginePlan(
         program=program,
         pre=pre,
         domain="interval",
         mode="sparse",
         strict=strict,
-        widen=widen,
         graph=graph,
         entries={},
         transfer=node_transfer,
@@ -154,84 +137,31 @@ def run_sparse(
     ``strict``/``widen`` mirror :func:`repro.analysis.dense.run_dense`; with
     ``strict=False, widen=False`` the result equals the dense analysis
     exactly (Lemma 2) on programs with finite abstract chains. The
-    resilience knobs (``budget``, ``on_budget``, ``faults``, ``watchdog``)
-    also mirror :func:`run_dense`.
+    budget, degradation, fault and checkpoint options are
+    :func:`~repro.analysis.plan.run_plan`'s.
     """
-    if on_budget not in ("fail", "degrade"):
-        raise ValueError(f"on_budget must be 'fail' or 'degrade', not {on_budget!r}")
-    tel = Telemetry.coerce(telemetry)
-
-    t0 = time.perf_counter()
-    if pre is None:
-        pre = run_preanalysis(program, telemetry=tel)
-    time_pre = time.perf_counter() - t0
-
-    plan = prepare_interval_sparse(
-        program,
-        pre,
-        bypass=bypass,
-        strict=strict,
-        widen=widen,
-        widening_thresholds=widening_thresholds,
-        widening_delay=widening_delay,
-        defuse=defuse,
-        dep_result=dep_result,
-        telemetry=tel,
-    )
-
-    t2 = time.perf_counter()
-    resolved_budget = Budget.coerce(budget, max_iterations=max_iterations)
-    diagnostics = Diagnostics(budget=resolved_budget)
-    degrade = None
-    if on_budget == "degrade":
-        pre_state = pre.state
-        degrade = DegradeController(
+    return run_plan(
+        prepare_plan(
             program,
-            fallback_state=lambda proc: pre_state.copy(),
-            diagnostics=diagnostics,
-            watchdog=make_watchdog(pre_state) if watchdog else None,
-        )
-
-    space = plan.make_program_space()
-    engine = FixpointEngine(
-        space,
-        plan.transfer,
-        plan.widening_points,
-        widening_thresholds=plan.thresholds,
-        widening_delay=plan.widening_delay,
+            pre,
+            "interval",
+            "sparse",
+            bypass=bypass,
+            strict=strict,
+            widen=widen,
+            widening_thresholds=widening_thresholds,
+            widening_delay=widening_delay,
+            defuse=defuse,
+            dep_result=dep_result,
+            telemetry=telemetry,
+        ),
         narrowing_passes=narrowing_passes,
-        budget=resolved_budget,
-        stage="sparse fixpoint",
-        faults=FaultInjector.coerce(faults),
-        degrade=degrade,
-        priority=plan.wto.priority,
-        telemetry=tel,
-        checkpointer=checkpoint,
-    )
-    if resume_from is not None:
-        engine.restore(resume_from)
-    table = engine.solve()
-    stats = engine.stats
-    stats.time_pre = time_pre
-    stats.time_dep = plan.time_dep
-    stats.time_fix = time.perf_counter() - t2
-    stats.dep_count = plan.dep_count
-    stats.raw_dep_count = plan.raw_dep_count
-    diagnostics.iterations = stats.iterations
-    diagnostics.timings.update(
-        pre=stats.time_pre, dep=stats.time_dep, fix=stats.time_fix
-    )
-    if engine.scheduler_stats is not None:
-        diagnostics.scheduler = engine.scheduler_stats.as_dict()
-
-    return FixpointResult(
-        table,
-        stats,
-        pre=pre,
-        defuse=plan.defuse,
-        deps=plan.deps,
-        graph=plan.graph,
-        elapsed=stats.time_total,
-        diagnostics=diagnostics,
-        scheduler_stats=engine.scheduler_stats,
+        budget=budget,
+        max_iterations=max_iterations,
+        on_budget=on_budget,
+        faults=faults,
+        watchdog=watchdog,
+        telemetry=telemetry,
+        checkpoint=checkpoint,
+        resume_from=resume_from,
     )

@@ -26,20 +26,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.dense import build_interproc_graph, run_dense
+from repro.analysis.dense import build_interproc_graph
 from repro.analysis.engine import FixpointResult, FixpointStats
+from repro.analysis.plan import prepare_plan, run_plan
 from repro.analysis.preanalysis import PreAnalysis, run_preanalysis
-from repro.analysis.relational import (
-    PackState,
-    RelContext,
-    run_rel_dense,
-    run_rel_sparse,
-)
-from repro.analysis.sparse import run_sparse
+from repro.analysis.relational import PackState, RelContext
 from repro.checkers.overrun import AccessReport, check_overruns
 from repro.domains.absloc import AbsLoc, VarLoc
 from repro.domains.interval import Interval
 from repro.domains.octagon import Octagon
+from repro.domains.packs import build_packs
+from repro.domains.state import AbsState
 from repro.domains.value import AbsValue
 from repro.frontend.errors import DiagnosticBag
 from repro.ir.program import Program, build_program
@@ -51,9 +48,6 @@ from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 
 #: cache sentinel — ``None`` is a legitimate lookup result
 _MISS = object()
-
-#: sparse-only engine options that must not reach the dense drivers
-_SPARSE_ONLY_OPTIONS = ("bypass",)
 
 
 @dataclass
@@ -69,8 +63,8 @@ class AnalysisRun:
     (:meth:`_pack_at`).
 
     ``diagnostics`` records what the resilience runtime did: degraded
-    procedures, the fallback engine used (if any), timings and iteration
-    counts."""
+    procedures, the fallback engine used (if any), per-rung attempts and
+    iteration counts."""
 
     program: Program
     pre: PreAnalysis
@@ -339,64 +333,24 @@ def supervised_session(
     )
 
 
-def _run_engine(
-    program: Program,
-    pre: PreAnalysis,
-    domain: str,
-    mode: str,
-    options: dict,
+def _preanalysis_result(
+    program: Program, pre: PreAnalysis, domain: str
 ) -> FixpointResult:
-    """Dispatch one engine×domain combination (one rung of the ladder)."""
-    if mode == "pre":
-        # Terminal fallback: answer everything from the pre-analysis state.
-        table = preanalysis_table(program, pre, domain)
-        graph = build_interproc_graph(program, pre.site_callees, localized=False)
-        diagnostics = Diagnostics(
+    """The ladder's terminal ``"pre"`` rung: every query is answered from
+    the pre-analysis state."""
+    octagon = domain == "octagon"
+    return FixpointResult(
+        preanalysis_table(program, pre, domain),
+        FixpointStats(),
+        pre=pre,
+        graph=build_interproc_graph(program, pre.site_callees, localized=False),
+        packs=build_packs(program) if octagon else None,
+        diagnostics=Diagnostics(
             degraded_procs=list(program.procedures()),
             events=["whole run answered from the pre-analysis state"],
-        )
-        if domain == "interval":
-            return FixpointResult(
-                table,
-                FixpointStats(),
-                pre=pre,
-                graph=graph,
-                diagnostics=diagnostics,
-            )
-        from repro.domains.packs import build_packs
-
-        return FixpointResult(
-            table,
-            FixpointStats(),
-            pre=pre,
-            graph=graph,
-            packs=build_packs(program),
-            diagnostics=diagnostics,
-            bottom=PackState,
-        )
-    if domain == "interval":
-        if mode == "sparse":
-            return run_sparse(program, pre, **options)
-        dense_options = {
-            k: v for k, v in options.items() if k not in _SPARSE_ONLY_OPTIONS
-        }
-        if mode == "base":
-            return run_dense(program, pre, localize=True, **dense_options)
-        if mode == "vanilla":
-            return run_dense(program, pre, **dense_options)
-        raise ValueError(f"unknown mode {mode!r}")
-    if domain == "octagon":
-        if mode == "sparse":
-            return run_rel_sparse(program, pre, **options)
-        dense_options = {
-            k: v for k, v in options.items() if k not in _SPARSE_ONLY_OPTIONS
-        }
-        if mode == "base":
-            return run_rel_dense(program, pre, localize=True, **dense_options)
-        if mode == "vanilla":
-            return run_rel_dense(program, pre, **dense_options)
-        raise ValueError(f"unknown mode {mode!r}")
-    raise ValueError(f"unknown domain {domain!r}")
+        ),
+        bottom=PackState if octagon else AbsState,
+    )
 
 
 def analyze(
@@ -538,29 +492,29 @@ def analyze(
     stage_budget = (
         resolved_budget.split(len(stages)) if resolved_budget is not None else None
     )
-    engine_options = dict(options)
-    if stage_budget is not None:
-        engine_options["budget"] = stage_budget
-    engine_options["on_budget"] = on_budget
-    engine_options["watchdog"] = watchdog
-    if tel.enabled:
-        engine_options["telemetry"] = tel
-    if injector is not None:
-        engine_options["faults"] = injector
-    if checkpointer is not None:
-        engine_options["checkpoint"] = checkpointer
-    if resume_payload is not None:
-        engine_options["resume_from"] = resume_payload
+    run_options = {
+        "narrowing_passes": options.pop("narrowing_passes", 0),
+        "budget": stage_budget,
+        "on_budget": on_budget,
+        "watchdog": watchdog,
+        "telemetry": tel,
+        "faults": injector,
+        "checkpoint": checkpointer,
+        "resume_from": resume_payload,
+    }
 
     attempts: list[tuple[str, str, float, str | None]] = []
     last_exc: Exception | None = None
     for stage in stages:
         start = time.perf_counter()
         try:
-            stage_options = (
-                {} if stage == "pre" else engine_options
-            )
-            result = _run_engine(program, pre, domain, stage, stage_options)
+            if stage == "pre":
+                result = _preanalysis_result(program, pre, domain)
+            else:
+                plan = prepare_plan(
+                    program, pre, domain, stage, telemetry=tel, **options
+                )
+                result = run_plan(plan, **run_options)
         except (BudgetExceeded, AnalysisError) as exc:
             outcome = "budget" if isinstance(exc, BudgetExceeded) else "error"
             attempts.append((stage, outcome, time.perf_counter() - start, str(exc)))

@@ -106,8 +106,8 @@ def _judge(offset: Interval, size: Interval) -> Verdict:
 
 
 def check_overruns(program: Program, result) -> list[AccessReport]:
-    """Check every array access against an analysis result (the
-    ``DenseResult``/``SparseResult`` of the interval analyzers)."""
+    """Check every array access against an interval analysis's
+    :class:`~repro.analysis.engine.FixpointResult`."""
     ctx = AnalysisContext(program, result.pre.site_callees)
     reports: list[AccessReport] = []
     for node in program.nodes():

@@ -57,12 +57,8 @@ class Diagnostics:
     fallback_used: str | None = None
     attempts: list[StageAttempt] = field(default_factory=list)
     iterations: int = 0
-    timings: dict[str, float] = field(default_factory=dict)
     events: list[str] = field(default_factory=list)
     budget: Budget | None = None
-    #: scheduler stats from the main fixpoint (see
-    #: :meth:`repro.analysis.schedule.SchedulerStats.as_dict`)
-    scheduler: dict | None = None
 
     @property
     def degraded(self) -> bool:
@@ -180,20 +176,27 @@ class DegradeController:
             )
 
 
+def preanalysis_bound(pre, domain: str):
+    """The state the pre-analysis guarantees at every control point: its
+    global state for intervals, the ⊤ pack map (no relation claimed) for
+    octagons. Degraded procedures fall back to a copy of it."""
+    if domain == "interval":
+        return pre.state
+    from repro.analysis.relational import PackState
+
+    return PackState()
+
+
 def preanalysis_table(program, pre, domain: str = "interval") -> dict[int, object]:
     """A whole-program table filled from the pre-analysis — the terminal
     ``"pre"`` rung of the engine ladder, which always succeeds."""
+    bound = preanalysis_bound(pre, domain)
     table: dict[int, object] = {}
     for proc in program.procedures():
         cfg = program.cfgs.get(proc)
         if cfg is None:
             continue
-        if domain == "interval":
-            state = pre.state.copy()
-        else:
-            from repro.analysis.relational import PackState
-
-            state = PackState()  # ⊤ for every pack: no relation claimed
+        state = bound.copy()
         for node in cfg.nodes:
             table[node.nid] = state
     return table

@@ -43,7 +43,6 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.dense import EnginePlan, prepare_interval_dense
 from repro.analysis.engine import FixpointResult, FixpointStats
 from repro.analysis.incremental import (
     backward_cone,
@@ -52,12 +51,10 @@ from repro.analysis.incremental import (
     dep_closure,
     diff_programs,
     solve_cone,
-    solve_global,
     surviving_state,
 )
+from repro.analysis.plan import EnginePlan, prepare_plan, run_plan
 from repro.analysis.preanalysis import run_preanalysis
-from repro.analysis.relational import prepare_rel_dense, prepare_rel_sparse
-from repro.analysis.sparse import prepare_interval_sparse
 from repro.frontend.errors import DiagnosticBag
 from repro.ir.callgraph import build_callgraph
 from repro.ir.program import build_program
@@ -232,38 +229,16 @@ class ServeSession:
         return self._callgraph_cache[1]
 
     def _prepare(self, domain: str, mode: str) -> EnginePlan:
-        if domain == "interval":
-            if mode == "sparse":
-                return prepare_interval_sparse(
-                    self.program,
-                    self.pre,
-                    strict=self.strict,
-                    widen=self.widen,
-                    telemetry=self.telemetry,
-                )
-            return prepare_interval_dense(
-                self.program,
-                self.pre,
-                localize=(mode == "base"),
-                strict=self.strict,
-                widen=self.widen,
-            )
-        if mode == "sparse":
-            return prepare_rel_sparse(
-                self.program,
-                self.pre,
-                packs=self._packs(),
-                strict=self.strict,
-                widen=self.widen,
-                telemetry=self.telemetry,
-            )
-        return prepare_rel_dense(
+        packs = {"packs": self._packs()} if domain == "octagon" else {}
+        return prepare_plan(
             self.program,
             self.pre,
-            packs=self._packs(),
-            localize=(mode == "base"),
+            domain,
+            mode,
             strict=self.strict,
             widen=self.widen,
+            telemetry=self.telemetry,
+            **packs,
         )
 
     def resident(self, domain: str | None = None, mode: str | None = None):
@@ -332,16 +307,16 @@ class ServeSession:
             check_every=1,
         )
 
-    def _solve_globally(self, res: ResidentAnalysis) -> None:
-        table, stats = solve_global(
+    def _global_solve(self, res: ResidentAnalysis) -> None:
+        result = run_plan(
             res.plan,
             narrowing_passes=self.narrowing_passes,
             telemetry=self.telemetry,
         )
-        res.table = table
+        res.table = result.table
         res.solved = set(res.plan.node_ids)
         self._mark_changed(res)
-        self.last_stats = stats
+        self.last_stats = result.stats
 
     def _ensure_solved(self, res: ResidentAnalysis, need: frozenset[int]) -> str:
         """Make every node in ``need`` final in the resident table, the
@@ -366,7 +341,7 @@ class ServeSession:
                     telemetry=self.telemetry,
                 )
             except BudgetExceeded:
-                self._solve_globally(res)
+                self._global_solve(res)
                 return "global-fallback"
             for nid in pending:
                 if nid in table:
@@ -377,7 +352,7 @@ class ServeSession:
             self._mark_changed(res)
             self.last_stats = stats
             return "cone"
-        self._solve_globally(res)
+        self._global_solve(res)
         return "global"
 
     def _facade(self, res: ResidentAnalysis):

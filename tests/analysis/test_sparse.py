@@ -1,11 +1,14 @@
 """Sparse engine behaviors: propagation, reachability, statistics."""
 
 from repro.analysis.dense import run_dense
+from repro.analysis.plan import prepare_plan, run_plan
 from repro.analysis.preanalysis import run_preanalysis
 from repro.analysis.sparse import run_sparse
+from repro.api import analyze
 from repro.domains.absloc import VarLoc
 from repro.ir.program import build_program
 from repro.runtime.errors import BudgetExceeded
+from tests.analysis.golden_tables import COMBOS
 
 import pytest
 
@@ -123,11 +126,21 @@ class TestStatistics:
         assert res.stats.dep_count > 0
         assert res.stats.raw_dep_count >= res.stats.dep_count
 
-    def test_phase_times_recorded(self, simple_loop_src):
-        program, pre, res = setup(simple_loop_src)
-        assert res.stats.time_dep >= 0
-        assert res.stats.time_fix >= 0
-        assert res.stats.time_total >= res.stats.time_fix
+    @pytest.mark.parametrize(
+        "domain,mode", COMBOS, ids=[f"{d}-{m}" for d, m in COMBOS]
+    )
+    def test_phase_times_recorded(self, simple_loop_src, domain, mode):
+        """One Pre/Dep/Fix accounting for every combo: ``time_fix`` is the
+        solve's wall time, and ``time_pre`` counts only a pre-analysis the
+        driver ran itself."""
+        stats = analyze(simple_loop_src, domain=domain, mode=mode).result.stats
+        assert stats.time_fix > 0
+        assert stats.time_pre == 0
+        assert (stats.time_dep > 0) == (mode == "sparse")
+        assert stats.time_total >= stats.time_fix
+        program = build_program(simple_loop_src)
+        own = run_plan(prepare_plan(program, None, domain, mode)).stats
+        assert own.time_pre > 0 and own.time_fix > 0
 
     def test_budget_exceeded_raises(self):
         src = """

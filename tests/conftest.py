@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.dense import DenseResult, run_dense
+from repro.analysis.dense import run_dense
+from repro.analysis.engine import FixpointResult
 from repro.analysis.preanalysis import PreAnalysis, run_preanalysis
-from repro.analysis.sparse import SparseResult, run_sparse
+from repro.analysis.sparse import run_sparse
 from repro.bench.codegen import WorkloadSpec
 from repro.domains.value import BOT as VALUE_BOT
 from repro.frontend.errors import DiagnosticBag
@@ -45,7 +46,7 @@ def lemma_mode_mismatches(
 
 
 def collect_mismatches(
-    program: Program, dense: DenseResult, sparse: SparseResult
+    program: Program, dense: FixpointResult, sparse: FixpointResult
 ) -> list[tuple]:
     out = []
     for nid in sorted(set(dense.table) | set(sparse.table)):

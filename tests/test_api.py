@@ -45,6 +45,13 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(SRC, mode="turbo")
 
+    @pytest.mark.parametrize("mode", ["sparse", "base", "vanilla"])
+    def test_octagon_rejects_widening_thresholds(self, mode):
+        with pytest.raises(
+            ValueError, match="^widening_thresholds is an interval-domain option$"
+        ):
+            analyze(SRC, domain="octagon", mode=mode, widening_thresholds="auto")
+
     def test_global_query(self):
         run = analyze(SRC)
         g = run.interval_at_exit("main", "g")
