@@ -425,6 +425,12 @@ def analyze(
     """
     if on_budget not in ("fail", "degrade"):
         raise ValueError(f"on_budget must be 'fail' or 'degrade', not {on_budget!r}")
+    stages = tuple(fallback) if fallback else (mode,)
+    for stage in stages:
+        if stage not in ("sparse", "base", "vanilla", "pre"):
+            raise ValueError(
+                f"unknown mode {stage!r}: expected sparse, base, vanilla or pre"
+            )
     tel = Telemetry.coerce(telemetry)
     bag = DiagnosticBag() if not strict_frontend else None
     with tel.span("frontend", file=filename) as front_span:
@@ -488,7 +494,6 @@ def analyze(
     elif resume:
         raise ValueError("resume=True requires checkpoint_path")
 
-    stages = tuple(fallback) if fallback else (mode,)
     stage_budget = (
         resolved_budget.split(len(stages)) if resolved_budget is not None else None
     )

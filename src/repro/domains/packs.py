@@ -12,6 +12,11 @@ syntax-directed heuristic ("similar to Miné's approach"):
 * packs exceeding the size threshold (10 in the paper) are split;
 * every variable also gets a singleton pack, which the projection ``p_x``
   of Section 4.1 reads interval values from.
+
+Packs are hash-consed like abstract locations (:mod:`repro.domains.absloc`):
+``Pack(members)`` returns the one canonical pack per members tuple, from a
+per-process table that is never cleared, so pack-keyed dicts hash and
+compare by identity. The sort key is computed once, at construction.
 """
 
 from __future__ import annotations
@@ -37,17 +42,31 @@ from repro.ir.program import Program
 PACK_SIZE_THRESHOLD = 10
 
 
-@dataclass(frozen=True)
+#: members tuple -> the canonical pack; never cleared, like the location
+#: table in :mod:`repro.domains.absloc`
+_UNIQUE_PACKS: dict[tuple, "Pack"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Pack:
-    """An ordered tuple of pack members (VarLoc/RetLoc), duplicate-free."""
+    """An ordered tuple of pack members (VarLoc/RetLoc), duplicate-free;
+    one canonical instance per members tuple."""
 
     members: tuple[AbsLoc, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.members))
+    def __new__(cls, members: tuple[AbsLoc, ...]) -> "Pack":
+        found = _UNIQUE_PACKS.get(members)
+        if found is not None:
+            return found
+        pack = object.__new__(cls)
+        object.__setattr__(pack, "members", members)
+        object.__setattr__(
+            pack, "_sort_key", ("Pack", tuple(str(m) for m in members))
+        )
+        return _UNIQUE_PACKS.setdefault(members, pack)
 
-    def __hash__(self) -> int:  # cached: packs are hot dict keys
-        return self._hash  # type: ignore[attr-defined]
+    def __reduce__(self):
+        return (Pack, (self.members,))
 
     @staticmethod
     def of(locs: Iterable[AbsLoc]) -> "Pack":
@@ -66,10 +85,10 @@ class Pack:
         return iter(self.members)
 
     def sort_key(self) -> tuple:
-        return ("Pack", tuple(str(m) for m in self.members))
+        return self._sort_key  # type: ignore[attr-defined]
 
     def __lt__(self, other: "Pack") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._sort_key < other._sort_key  # type: ignore[attr-defined]
 
     def __str__(self) -> str:
         return "⟪" + ", ".join(str(m) for m in self.members) + "⟫"

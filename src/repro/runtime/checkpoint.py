@@ -27,8 +27,10 @@ integer :class:`Interval` bounds, the five :class:`AbsLoc` classes (tagged
 lists, recursive for ``FieldLoc``), :class:`AbsValue` points-to/array
 payloads, :class:`AbsState`, variable :class:`Pack`\\ s, and float64
 :class:`Octagon` DBMs (JSON float repr round-trips IEEE doubles exactly;
-``±inf`` is spelled ``null``). Decoding re-interns values, so identity fast
-paths keep working after a resume.
+``±inf`` is spelled ``null``). Decoding re-interns values, and decodes
+locations and packs through their constructors, which return the canonical
+hash-consed objects, so identity fast paths and identity-keyed tables keep
+working after a resume.
 """
 
 from __future__ import annotations

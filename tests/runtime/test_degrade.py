@@ -185,6 +185,19 @@ class TestEngineLadder:
         assert run.diagnostics.fallback_used == "pre"
         assert not run.interval_at_exit("main", "x").is_bottom()
 
+    @pytest.mark.parametrize(
+        "ladder", [("sparse", "nope"), ("nope", "sparse")]
+    )
+    def test_unknown_rung_rejected_before_any_work(self, ladder):
+        # the sparse rung would finish (or spend its budget share) first if
+        # rungs were only checked as the ladder reached them
+        for budget in (None, Budget(max_iterations=5)):
+            with pytest.raises(ValueError, match="unknown mode 'nope'"):
+                analyze(SRC, fallback=ladder, budget=budget)
+        # checked before the frontend too: no parse error surfaces first
+        with pytest.raises(ValueError, match="unknown mode 'nope'"):
+            analyze("int main(", fallback=ladder)
+
     def test_ladder_exhausted_raises_last_error(self):
         with pytest.raises(BudgetExceeded):
             analyze(
