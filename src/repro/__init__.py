@@ -5,9 +5,8 @@ A full reimplementation of Oh, Heo, Lee, Lee, Yi,
 (PLDI 2012): a C-subset frontend and IR, interval and packed-octagon
 abstract domains, dense (vanilla / access-localized) and *sparse* global
 analyzers built on semantically derived def/use sets and precision-
-preserving data dependencies, a BDD-backed dependency store, a
-buffer-overrun checker, and a benchmark harness reproducing the paper's
-tables.
+preserving data dependencies, a buffer-overrun checker, and a
+benchmark harness reproducing the paper's tables.
 
 Quick start::
 

@@ -5,12 +5,18 @@
 * ``table2`` — interval analysis: ``vanilla`` vs ``base`` (access-based
   localization) vs ``sparse``, with time, peak memory, Dep/Fix split,
   speedups, memory savings and average |D̂(c)|/|Û(c)|;
-* ``table3`` — the same comparison for the octagon analyses.
+* ``table3`` — the same comparison for the octagon analyses, plus the
+  average pack size.
 
-Like the paper's 24-hour limit, analyses get an iteration budget (and the
-dense analyzers a size threshold); runs beyond it are reported as ``∞``
-and the derived speedups as ``N/A``. Memory is modelled deterministically
-from the retained data structures (see ``_estimate_memory_mb``).
+Tables 2 and 3 come from one loop over (domain, mode) and one renderer.
+Every analyzer run happens in a freshly *spawned* interpreter (a forked
+child's RSS would start at the parent's). The child builds the program and
+its pre-analysis, then times ``run_plan(prepare_plan(...))`` under a
+wall-clock :class:`~repro.runtime.budget.Budget`, and reports its wall time,
+the Dep/Fix split of its telemetry spans and its own peak RSS (see
+:func:`_peak_rss_mb`). Like the paper's 24-hour limit, a run whose fixpoint
+outlasts the budget is printed as ``∞`` and the cells derived from it as
+``N/A``; every other cell is a measurement.
 
 Run from the command line::
 
@@ -19,21 +25,20 @@ Run from the command line::
     python -m repro.bench.harness table3 [--quick]
     python -m repro.bench.harness all --quick
 
-``--json OUT`` additionally writes the raw rows (times, memory, per-phase
-breakdowns) as JSON; the write is atomic, so a killed harness never leaves
-a truncated results file behind.
+``--json OUT`` additionally writes the raw rows (times, peak memory,
+per-phase breakdowns) as JSON; the write is atomic, so a killed harness
+never leaves a truncated results file behind.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.dense import run_dense
+from repro.analysis.plan import prepare_plan, run_plan
 from repro.analysis.preanalysis import run_preanalysis
-from repro.analysis.relational import run_rel_dense, run_rel_sparse
-from repro.analysis.sparse import run_sparse
 from repro.bench.codegen import (
     WorkloadSpec,
     default_suite,
@@ -42,78 +47,111 @@ from repro.bench.codegen import (
 )
 from repro.bench.stats import compute_stats
 from repro.ir.program import build_program
+from repro.runtime.budget import Budget
 from repro.runtime.errors import BudgetExceeded
 from repro.telemetry import Telemetry, phase_report
 
-#: iteration budgets, per analysis — the "24h timeout" analog. Vanilla gets
-#: the same budget as the others; it just burns it much faster.
-DEFAULT_BUDGET = 400_000
-QUICK_BUDGET = 25_000
+#: wall-clock seconds each analyzer's fixpoint may take — the paper's
+#: 24-hour timeout, scaled to this suite
+DEFAULT_BUDGET = 300.0
+
+MODES = ("vanilla", "base", "sparse")
+SUITES = {"interval": default_suite, "octagon": octagon_suite}
 
 
 @dataclass
 class Measurement:
-    """One analyzer's run on one program."""
+    """One analyzer's run on one program, as its child process reported it."""
 
-    time_s: float | None = None  # None = budget exceeded (paper's ∞)
+    time_s: float | None = None  # None = wall-clock budget ran out (paper's ∞)
     peak_mb: float | None = None
-    extra: dict = field(default_factory=dict)
+    #: telemetry phase name → {"wall_s", "cpu_s", "count", ...}
+    phases: dict = field(default_factory=dict)
+    #: sparse runs: average |D̂(c)|/|Û(c)|, dependency count, pack size
+    facts: dict = field(default_factory=dict)
 
     @property
     def timed_out(self) -> bool:
         return self.time_s is None
 
-    def phase(self, name: str, default: float = 0.0) -> float:
-        """Wall seconds the telemetry registry recorded for one phase."""
-        phases = self.extra.get("phases", {})
-        return phases.get(name, {}).get("wall_s", default)
+    def phase(self, name: str) -> float:
+        """Wall seconds the child's telemetry registry recorded for one phase."""
+        return self.phases.get(name, {}).get("wall_s", 0.0)
 
 
-#: bytes per abstract-state entry in the memory model (dict slot + AbsValue)
-_ENTRY_BYTES = 200
+def _peak_rss_mb() -> float:
+    """This process's peak RSS in MB since it exec'd the interpreter (Linux).
 
-
-def _estimate_memory_mb(result) -> float:
-    """Deterministic memory model: total state entries retained by the
-    fixpoint table (the dominant allocation), plus dependency storage.
-
-    tracemalloc would slow the dense analyses several-fold and measure the
-    Python allocator rather than the representation the paper compares, so
-    the harness models memory from the data-structure sizes instead.
+    ``VmHWM`` counts only the current process image. ``getrusage``'s
+    ``ru_maxrss`` (and ``os.wait4``'s) also keeps the peak from before
+    ``exec``, which for a spawned child is at least the parent's RSS when it
+    forked, so a small program analysed by a large harness would report the
+    harness's size.
     """
-    entries = sum(len(state) for state in result.table.values())
-    total = entries * _ENTRY_BYTES
-    deps = getattr(result, "deps", None)
-    if deps is not None:
-        total += len(deps) * 80  # triple + two index slots
-    return total / 1e6
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024  # kB
+    raise RuntimeError("/proc/self/status has no VmHWM line")
 
 
-def _measure(fn) -> Measurement:
-    """Run one analyzer under a fresh telemetry registry.
-
-    ``fn`` receives the registry and forwards it to the analysis; the
-    per-phase wall-clock breakdown (the paper's Pre/Dep/Fix columns) then
-    comes from one consistent source instead of per-harness timers. Memory
-    stays on the deterministic data-structure model (tracemalloc would
-    slow dense runs severalfold and measure the Python allocator instead
-    of the representation the paper compares).
-    """
+def _child(conn, source: str, domain: str, mode: str, budget: float) -> None:
+    """Spawned-process body of :func:`measure`: one timed analyzer run."""
+    program = build_program(source)
+    pre = run_preanalysis(program)
     tel = Telemetry(enabled=True)
     start = time.perf_counter()
     try:
-        result = fn(tel)
+        plan = prepare_plan(program, pre, domain, mode, telemetry=tel)
+        result = run_plan(plan, budget=Budget(max_seconds=budget), telemetry=tel)
     except BudgetExceeded:
-        return Measurement(None, None)
+        conn.send({})
+        return
     elapsed = time.perf_counter() - start
-    m = Measurement(elapsed, _estimate_memory_mb(result))
-    m.extra["result"] = result
-    m.extra["phases"] = phase_report(tel).as_dict()["phases"]
-    return m
+    facts = {}
+    if mode == "sparse":
+        facts["avg_d"], facts["avg_u"] = result.defuse.average_sizes()
+        facts["deps"] = result.stats.dep_count
+        if domain == "octagon":
+            facts["avg_pack"] = result.packs.average_size()
+    conn.send(
+        {
+            "time_s": elapsed,
+            "peak_mb": _peak_rss_mb(),
+            "phases": phase_report(tel).as_dict()["phases"],
+            "facts": facts,
+        }
+    )
+
+
+def measure(
+    source: str, domain: str, mode: str, budget: float = DEFAULT_BUDGET
+) -> Measurement:
+    """Run one analyzer on ``source`` in a fresh interpreter and return what
+    it measured; raises :class:`RuntimeError` if the child dies without a
+    report."""
+    ctx = multiprocessing.get_context("spawn")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_child, args=(send, source, domain, mode, budget))
+    proc.start()
+    send.close()  # the child's copy keeps the pipe open; ours would hide EOF
+    try:
+        report = recv.recv()
+    except EOFError:
+        report = None
+    finally:
+        recv.close()
+        proc.join()
+    if report is None:
+        raise RuntimeError(
+            f"{domain}/{mode} child exited {proc.exitcode} without a result"
+        )
+    return Measurement(**report)
 
 
 def _fmt_time(m: Measurement) -> str:
     return "∞" if m.timed_out else f"{m.time_s:8.2f}"
+
 
 def _fmt_mem(m: Measurement) -> str:
     return "N/A" if m.timed_out else f"{m.peak_mb:7.1f}"
@@ -147,220 +185,94 @@ def table1(specs: list[WorkloadSpec] | None = None) -> list[tuple]:
     return rows
 
 
-def print_table1(specs: list[WorkloadSpec] | None = None) -> None:
-    header = ("Program", "LOC", "Functions", "Statements", "Blocks", "maxSCC", "AbsLocs")
-    rows = table1(specs)
-    _print_rows(header, rows)
+TABLE1_HEADER = (
+    "Program", "LOC", "Functions", "Statements", "Blocks", "maxSCC", "AbsLocs",
+)
 
 
 # --------------------------------------------------------------------------
-# Table 2 — interval domain
+# Tables 2 and 3
 # --------------------------------------------------------------------------
+
+
+def table(
+    domain: str,
+    specs: list[WorkloadSpec] | None = None,
+    budget: float = DEFAULT_BUDGET,
+) -> list[dict]:
+    """The vanilla / base / sparse comparison for one domain: one dict per
+    program with a :class:`Measurement` per mode and, when sparse finished,
+    its Dep/Fix split (telemetry spans) and sparsity facts."""
+    specs = specs or SUITES[domain]()
+    rows: list[dict] = []
+    for spec in specs:
+        source = generate_source(spec)
+        row: dict = {"program": spec.name, "loc": source.count("\n")}
+        for mode in MODES:
+            row[mode] = measure(source, domain, mode, budget)
+        sparse = row["sparse"]
+        if not sparse.timed_out:
+            row["dep_s"] = sparse.phase("dep-gen")
+            row["fix_s"] = sparse.phase("fixpoint")
+            row.update(sparse.facts)
+        rows.append(row)
+        print(
+            f"  [{spec.name}] "
+            + " ".join(f"{mode}={_fmt_time(row[mode]).strip()}" for mode in MODES),
+            file=sys.stderr,
+            flush=True,
+        )
+    return rows
 
 
 def table2(
-    specs: list[WorkloadSpec] | None = None,
-    budget: int = DEFAULT_BUDGET,
-    skip_vanilla_above: int = 1_600,
-    skip_base_above: int = 2_600,
+    specs: list[WorkloadSpec] | None = None, budget: float = DEFAULT_BUDGET
 ) -> list[dict]:
-    """Interval analysis comparison (Table 2). Returns one dict per
-    program with the paper's columns.
-
-    Mirroring the paper's 24-hour timeout pattern (vanilla gives out first,
-    then base, sparse survives everywhere), the dense analyzers are marked
-    ∞ beyond a size threshold instead of burning hours proving it.
-    """
-    specs = specs or default_suite()
-    rows: list[dict] = []
-    for spec in specs:
-        source = generate_source(spec)
-        program = build_program(source)
-        pre = run_preanalysis(program)
-        n_nodes = program.num_statements()
-
-        if n_nodes <= skip_vanilla_above:
-            vanilla = _measure(
-                lambda tel: run_dense(
-                    program, pre, max_iterations=budget, telemetry=tel
-                )
-            )
-        else:
-            vanilla = Measurement(None, None)
-        if n_nodes <= skip_base_above:
-            base = _measure(
-                lambda tel: run_dense(
-                    program, pre, localize=True, max_iterations=budget,
-                    telemetry=tel,
-                )
-            )
-        else:
-            base = Measurement(None, None)
-        sparse = _measure(
-            lambda tel: run_sparse(
-                program, pre, max_iterations=budget, telemetry=tel
-            )
-        )
-
-        row = {
-            "program": spec.name,
-            "loc": source.count("\n"),
-            "vanilla": vanilla,
-            "base": base,
-            "sparse": sparse,
-        }
-        if not sparse.timed_out:
-            res = sparse.extra["result"]
-            d, u = res.defuse.average_sizes()
-            # Phase columns come from the telemetry registry (time_pre is
-            # 0 here — the shared pre-analysis ran outside the measured
-            # region, matching the paper's per-analyzer accounting).
-            row["dep_s"] = res.stats.time_pre + sparse.phase(
-                "dep-gen", res.stats.time_dep
-            )
-            row["fix_s"] = sparse.phase("fixpoint", res.stats.time_fix)
-            row["avg_d"] = d
-            row["avg_u"] = u
-            row["deps"] = res.stats.dep_count
-        rows.append(row)
-        print(
-            f"  [{spec.name}] vanilla={_fmt_time(vanilla).strip()} "
-            f"base={_fmt_time(base).strip()} sparse={_fmt_time(sparse).strip()}",
-            file=sys.stderr,
-            flush=True,
-        )
-    return rows
-
-
-def print_table2(
-    specs: list[WorkloadSpec] | None = None, budget: int = DEFAULT_BUDGET
-) -> None:
-    _render_table2(table2(specs, budget))
-
-
-def _render_table2(rows: list[dict]) -> None:
-    header = (
-        "Program", "LOC", "Vanilla(s)", "Base(s)", "Spd.1", "Mem.1",
-        "Dep(s)", "Fix(s)", "Sparse(s)", "Spd.2", "Mem.2", "D(c)", "U(c)",
-    )
-    out = []
-    for r in rows:
-        sparse, base, vanilla = r["sparse"], r["base"], r["vanilla"]
-        total = (
-            "∞"
-            if sparse.timed_out
-            else f"{r['dep_s'] + r['fix_s']:8.2f}"
-        )
-        out.append(
-            (
-                r["program"],
-                r["loc"],
-                _fmt_time(vanilla).strip(),
-                _fmt_time(base).strip(),
-                _speedup(vanilla, base),
-                _mem_saving(vanilla, base),
-                "∞" if sparse.timed_out else f"{r['dep_s']:.2f}",
-                "∞" if sparse.timed_out else f"{r['fix_s']:.2f}",
-                total.strip(),
-                _speedup(base, sparse),
-                _mem_saving(base, sparse),
-                "N/A" if sparse.timed_out else f"{r['avg_d']:.1f}",
-                "N/A" if sparse.timed_out else f"{r['avg_u']:.1f}",
-            )
-        )
-    _print_rows(header, out)
-
-
-# --------------------------------------------------------------------------
-# Table 3 — octagon domain
-# --------------------------------------------------------------------------
+    """Interval analysis comparison (Table 2)."""
+    return table("interval", specs, budget)
 
 
 def table3(
-    specs: list[WorkloadSpec] | None = None, budget: int = DEFAULT_BUDGET
+    specs: list[WorkloadSpec] | None = None, budget: float = DEFAULT_BUDGET
 ) -> list[dict]:
     """Octagon analysis comparison (Table 3)."""
-    specs = specs or octagon_suite()
-    rows: list[dict] = []
-    for spec in specs:
-        source = generate_source(spec)
-        program = build_program(source)
-        pre = run_preanalysis(program)
-
-        vanilla = _measure(
-            lambda tel: run_rel_dense(
-                program, pre, max_iterations=budget, telemetry=tel
-            )
-        )
-        base = _measure(
-            lambda tel: run_rel_dense(
-                program, pre, localize=True, max_iterations=budget,
-                telemetry=tel,
-            )
-        )
-        sparse = _measure(
-            lambda tel: run_rel_sparse(
-                program, pre, max_iterations=budget, telemetry=tel
-            )
-        )
-        row = {
-            "program": spec.name,
-            "loc": source.count("\n"),
-            "vanilla": vanilla,
-            "base": base,
-            "sparse": sparse,
-        }
-        if not sparse.timed_out:
-            res = sparse.extra["result"]
-            d, u = res.defuse.average_sizes()
-            row["dep_s"] = sparse.phase("dep-gen", res.stats.time_dep)
-            row["fix_s"] = sparse.phase("fixpoint", res.stats.time_fix)
-            row["avg_d"] = d
-            row["avg_u"] = u
-            row["avg_pack"] = res.packs.average_size()
-        rows.append(row)
-        print(
-            f"  [{spec.name}] vanilla={_fmt_time(vanilla).strip()} "
-            f"base={_fmt_time(base).strip()} sparse={_fmt_time(sparse).strip()}",
-            file=sys.stderr,
-            flush=True,
-        )
-    return rows
+    return table("octagon", specs, budget)
 
 
-def print_table3(
-    specs: list[WorkloadSpec] | None = None, budget: int = DEFAULT_BUDGET
-) -> None:
-    _render_table3(table3(specs, budget))
-
-
-def _render_table3(rows: list[dict]) -> None:
-    header = (
-        "Program", "LOC", "Vanilla(s)", "Base(s)", "Spd.1", "Mem.1",
-        "Dep(s)", "Fix(s)", "Sparse(s)", "Spd.2", "Mem.2", "D(c)", "U(c)", "Pack",
-    )
+def render(rows: list[dict], domain: str) -> None:
+    """Print Table 2 (interval) or Table 3 (octagon, with the Pack column)."""
+    header = [
+        "Program", "LOC", "Vanilla(s)", "Vanilla(MB)", "Base(s)", "Base(MB)",
+        "Spd.1", "Mem.1", "Dep(s)", "Fix(s)", "Sparse(s)", "Sparse(MB)",
+        "Spd.2", "Mem.2", "D(c)", "U(c)",
+    ]
+    facts = ["avg_d", "avg_u"]
+    if domain == "octagon":
+        header.append("Pack")
+        facts.append("avg_pack")
     out = []
     for r in rows:
-        sparse, base, vanilla = r["sparse"], r["base"], r["vanilla"]
+        vanilla, base, sparse = r["vanilla"], r["base"], r["sparse"]
         out.append(
             (
                 r["program"],
                 r["loc"],
                 _fmt_time(vanilla).strip(),
+                _fmt_mem(vanilla).strip(),
                 _fmt_time(base).strip(),
+                _fmt_mem(base).strip(),
                 _speedup(vanilla, base),
                 _mem_saving(vanilla, base),
                 "∞" if sparse.timed_out else f"{r['dep_s']:.2f}",
                 "∞" if sparse.timed_out else f"{r['fix_s']:.2f}",
                 _fmt_time(sparse).strip(),
+                _fmt_mem(sparse).strip(),
                 _speedup(base, sparse),
                 _mem_saving(base, sparse),
-                "N/A" if sparse.timed_out else f"{r['avg_d']:.1f}",
-                "N/A" if sparse.timed_out else f"{r['avg_u']:.1f}",
-                "N/A" if sparse.timed_out else f"{r['avg_pack']:.1f}",
+                *("N/A" if sparse.timed_out else f"{r[k]:.1f}" for k in facts),
             )
         )
-    _print_rows(header, out)
+    _print_rows(tuple(header), out)
 
 
 # --------------------------------------------------------------------------
@@ -381,8 +293,7 @@ def _print_rows(header: tuple, rows: list[tuple]) -> None:
 
 
 def _row_jsonable(row) -> dict | list:
-    """Strip a table row down to JSON-serializable facts (Measurements
-    collapse to time/memory; live result objects are dropped)."""
+    """A table row as JSON-serializable facts."""
     if not isinstance(row, dict):
         return list(row)  # table1 rows are plain tuples
     out: dict = {}
@@ -392,7 +303,7 @@ def _row_jsonable(row) -> dict | list:
                 "time_s": value.time_s,
                 "peak_mb": value.peak_mb,
                 "timed_out": value.timed_out,
-                "phases": value.extra.get("phases", {}),
+                "phases": value.phases,
             }
         else:
             out[key] = value
@@ -405,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         print(__doc__)
         return 2
     which = argv[0]
+    if which not in ("table1", "table2", "table3", "all"):
+        print(f"unknown table {which!r}")
+        return 2
     quick = "--quick" in argv
     json_out = None
     if "--json" in argv:
@@ -413,7 +327,6 @@ def main(argv: list[str] | None = None) -> int:
             print("--json needs an output path", file=sys.stderr)
             return 2
         json_out = argv[at + 1]
-    budget = QUICK_BUDGET if quick else DEFAULT_BUDGET
     interval_specs = default_suite()[:4] if quick else default_suite()
     oct_specs = octagon_suite()[:3] if quick else octagon_suite()
     results: dict[str, list] = {}
@@ -421,23 +334,19 @@ def main(argv: list[str] | None = None) -> int:
         print("== Table 1: benchmark characteristics ==")
         rows = table1(interval_specs)
         results["table1"] = [_row_jsonable(r) for r in rows]
-        print_table1(interval_specs)
+        _print_rows(TABLE1_HEADER, rows)
         print()
-    if which in ("table2", "all"):
-        print("== Table 2: interval analysis performance ==")
-        rows = table2(interval_specs, budget)
-        results["table2"] = [_row_jsonable(r) for r in rows]
-        _render_table2(rows)
+    for name, domain, specs in (
+        ("table2", "interval", interval_specs),
+        ("table3", "octagon", oct_specs),
+    ):
+        if which not in (name, "all"):
+            continue
+        print(f"== Table {name[-1]}: {domain} analysis performance ==")
+        rows = table(domain, specs)
+        results[name] = [_row_jsonable(r) for r in rows]
+        render(rows, domain)
         print()
-    if which in ("table3", "all"):
-        print("== Table 3: octagon analysis performance ==")
-        rows = table3(oct_specs, budget)
-        results["table3"] = [_row_jsonable(r) for r in rows]
-        _render_table3(rows)
-        print()
-    if which not in ("table1", "table2", "table3", "all"):
-        print(f"unknown table {which!r}")
-        return 2
     if json_out is not None:
         # crash-safe: a killed harness never leaves a truncated results file
         from repro.runtime.atomicio import atomic_write_json

@@ -11,8 +11,8 @@ The interval analysis of Section 6.1 uses:
   the caller),
 * function designators (for function-pointer points-to sets).
 
-Locations are immutable and totally ordered (useful for stable iteration
-and BDD bit-encoding). They are also *hash-consed*: each constructor
+Locations are immutable and totally ordered (useful for stable
+iteration). They are also *hash-consed*: each constructor
 returns the one canonical instance for its class and fields, made once per
 process in a unique table that is never cleared. Equality is therefore
 identity and the hash is CPython's built-in identity hash, so the many

@@ -12,7 +12,7 @@ The paper's value domain is ``V̂ = Ẑ × P̂`` with arrays folded into the
 pointer part; we keep array blocks separate so the buffer-overrun checker
 can reason about offsets and sizes.
 
-**Hash-consing**: like the BDD package (:mod:`repro.bdd`), values are
+**Hash-consing**: like abstract locations and packs, values are
 interned so that structurally-equal values are pointer-equal — equality
 checks short-circuit on identity, the state layer can skip no-op joins
 with an ``is`` test, and binary join/widen results are memoized by operand

@@ -111,7 +111,6 @@ _PHASE_DETAILS = {
         "dep.generated",
         "dep.bypassed",
         "dep.widening_barriers",
-        "bdd.nodes",
     ),
     "fixpoint": (
         "fixpoint.iterations",
@@ -120,7 +119,7 @@ _PHASE_DETAILS = {
         "fixpoint.reachable_nodes",
     ),
     "narrowing": ("narrowing.iterations",),
-    "checkers": ("checkers.reports", "checkers.alarms"),
+    "checkers": ("checkers.reports",),
 }
 
 

@@ -2,15 +2,11 @@
 
 from repro.bench.harness import (
     Measurement,
-    _estimate_memory_mb,
     _fmt_mem,
     _fmt_time,
     _mem_saving,
     _speedup,
 )
-from repro.domains.absloc import VarLoc
-from repro.domains.state import AbsState
-from repro.domains.value import AbsValue
 
 
 def meas(t, m):
@@ -37,29 +33,3 @@ class TestFormatting:
 
     def test_mem_saving_na(self):
         assert _mem_saving(Measurement(None, None), meas(1, 1.0)) == "N/A"
-
-
-class TestMemoryModel:
-    def test_counts_state_entries(self):
-        class Result:
-            def __init__(self):
-                s = AbsState()
-                s.set(VarLoc("a"), AbsValue.of_const(1))
-                s.set(VarLoc("b"), AbsValue.of_const(2))
-                self.table = {1: s, 2: s.copy()}
-
-        mb = _estimate_memory_mb(Result())
-        assert mb > 0
-        # 4 entries × 200 bytes
-        assert abs(mb - 4 * 200 / 1e6) < 1e-9
-
-    def test_includes_dependency_storage(self):
-        from repro.analysis.datadep import DataDeps
-
-        class Result:
-            def __init__(self):
-                self.table = {}
-                self.deps = DataDeps()
-                self.deps.add(1, 2, VarLoc("x"))
-
-        assert _estimate_memory_mb(Result()) > 0

@@ -161,6 +161,33 @@ class TestEndToEnd:
         names = {e["name"] for e in decoded["traceEvents"]}
         assert {"fixpoint", "dep-gen", "metrics"} <= names
 
+    def test_every_listed_detail_is_set_by_a_real_run(self):
+        """Each counter/gauge the phase report lists under the analysis
+        phases is set by a traced sparse run with narrowing plus a checker
+        on the same registry, so no listed name is dead."""
+        from repro.api import analyze
+        from repro.checkers import run_checker
+        from repro.telemetry.export import _PHASE_DETAILS
+
+        source = """
+        int g;
+        int main(void) {
+          int i; int s = 0;
+          for (i = 0; i < 100; i++) { s = s + i; g = s; }
+          return s;
+        }
+        """
+        tel = Telemetry()
+        run = analyze(
+            source, domain="interval", mode="sparse", narrowing_passes=2,
+            telemetry=tel,
+        )
+        run_checker("overrun", run.program, run.result, telemetry=tel)
+        report = phase_report(tel)
+        for phase in ("pre-analysis", "dep-gen", "fixpoint", "narrowing", "checkers"):
+            details = report.row(phase).details
+            assert set(_PHASE_DETAILS[phase]) <= set(details), phase
+
 
 class TestCrashSafeWrites:
     """Regression tests for the atomic exporter file writes: a crash (or
