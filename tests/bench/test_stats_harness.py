@@ -1,5 +1,7 @@
 """Table-1 statistics and harness smoke tests."""
 
+import pytest
+
 from repro.bench.codegen import WorkloadSpec, generate_source
 from repro.bench.harness import MODES, render, table1, table2, table3
 from repro.bench.stats import compute_stats, count_basic_blocks
@@ -41,16 +43,21 @@ class TestStats:
         assert stats.loc == 3
 
 
+@pytest.fixture(scope="module")
+def table2_rows():
+    # each run is a child process; the Table 2 tests share one set of runs.
+    # A seconds budget, generous for these programs: every run finishes
+    return table2(SMALL, budget=60.0)
+
+
 class TestHarness:
     def test_table1_rows(self):
         rows = table1(SMALL)
         assert len(rows) == 2
         assert rows[0][0] == "tiny-a"
 
-    def test_table2_shape(self):
-        # a seconds budget, generous for these programs: every run finishes
-        rows = table2(SMALL, budget=60.0)
-        for row in rows:
+    def test_table2_shape(self, table2_rows):
+        for row in table2_rows:
             assert {"program", "vanilla", "base", "sparse"} <= set(row)
             for mode in MODES:
                 m = row[mode]
@@ -59,6 +66,9 @@ class TestHarness:
                 # Python interpreter
                 assert m.peak_mb > 5
             assert row["avg_d"] >= 0
+
+    def test_table2_sparse_not_slower_than_vanilla(self, table2_rows):
+        for row in table2_rows:
             sparse_total = row["dep_s"] + row["fix_s"]
             assert 0 < sparse_total <= row["sparse"].time_s
             # generous: on tiny programs constant factors dominate
