@@ -1,4 +1,4 @@
-"""Hand-written lexer for the C subset.
+"""Master-regex lexer for the C subset.
 
 The lexer produces a flat list of :class:`Token` objects. It understands:
 
@@ -13,6 +13,21 @@ The lexer produces a flat list of :class:`Token` objects. It understands:
   linemarkers (``# 12 "file.h"``) *are* interpreted: they reset the
   line/filename the lexer stamps onto subsequent tokens, which is how the
   mini preprocessor keeps positions exact across ``#include`` expansion.
+
+Scanning is one loop over ``_TOKEN.match(src, i)``: a single compiled
+alternation recognizes whitespace and complete comments, identifiers and
+keywords with an ASCII first character, numbers and every punctuator
+(longest first). Columns come from the offset of the current line's start,
+so each token costs one regex match and one :class:`Token`. Whatever the
+master regex does not match — string and character literals, ``#`` lines,
+an unterminated block comment, an identifier starting with a non-ASCII
+letter, an unexpected character, the end of input — goes to the
+character-at-a-time scanners below.
+
+Digits are ASCII ``[0-9]`` only: a non-ASCII digit such as ``²`` or ``٣``
+outside an identifier is an unexpected character. Identifiers start with
+``_`` or a character for which ``str.isalpha()`` holds and continue with
+``_`` or ``str.isalnum()`` characters, so ``x²`` is one identifier.
 
 Error recovery: constructed with a :class:`DiagnosticBag`, the lexer
 records malformed input as positioned diagnostics and keeps scanning
@@ -79,30 +94,33 @@ KEYWORDS = frozenset(
     }
 )
 
-# Longest-match-first operator table.
-_PUNCTS_3 = ("<<=", ">>=", "...")
-_PUNCTS_2 = (
-    "->",
-    "++",
-    "--",
-    "<<",
-    ">>",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "^=",
-    "|=",
+#: every punctuator, longest first so the alternation takes the longest match
+_PUNCTS = (
+    "<<=", ">>=", "...",
+    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+    "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=",
+    "+", "-", "*", "%", "&", "|", "^", "~", "!", "<", ">", "=", "?", ":",
+    ";", ",", ".", "(", ")", "{", "}", "[", "]",
 )
-_PUNCTS_1 = "+-*/%&|^~!<>=?:;,.(){}[]"
+
+#: one match per token. ``skip`` is a run of whitespace and complete
+#: comments; ``/`` is a punctuator unless it opens a comment. Numbers: a hex
+#: prefix with any digits (none is an error), else decimal/octal/float;
+#: both take any ``u``/``l`` suffix.
+_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<num>(?:0[xX][0-9a-fA-F]*"
+    r"|(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)[uUlL]*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCTS)) + r"|/(?!\*))",
+    re.DOTALL,
+)
+
+#: the rest of an identifier whose first character is a non-ASCII letter
+_IDENT_REST = re.compile(r"\w*")
+
+#: an octal escape takes one to three of these (``\8`` is unknown)
+_OCTAL_DIGITS = frozenset("01234567")
 
 _ESCAPES = {
     "n": "\n",
@@ -145,6 +163,48 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.pos})"
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _token(
+    kind: TokenKind, text: str, line: int, column: int, filename: str,
+    value: object = None,
+) -> Token:
+    """``Token(kind, text, Position(line, column, filename), value)``.
+
+    Sets the fields with ``object.__setattr__`` as the generated
+    ``__init__`` methods of the two frozen dataclasses do, in one Python
+    call instead of two: building tokens is most of the lexer's time.
+    The objects are the same, so equality, hashing, ordering, immutability
+    and pickling do not change.
+    """
+    pos = _new(Position)
+    _set(pos, "line", line)
+    _set(pos, "column", column)
+    _set(pos, "filename", filename)
+    tok = _new(Token)
+    _set(tok, "kind", kind)
+    _set(tok, "text", text)
+    _set(tok, "pos", pos)
+    _set(tok, "value", value)
+    return tok
+
+
+def _number_value(body: str) -> object:
+    """The value of a number without its suffix (``None``: bad octal)."""
+    if body[:2] in ("0x", "0X"):
+        return int(body, 16)
+    if "." in body or "e" in body or "E" in body:
+        return float(body)
+    if len(body) > 1 and body[0] == "0":
+        try:
+            return int(body, 8)
+        except ValueError:
+            return None
+    return int(body)
+
+
 class Lexer:
     """Tokenizes a source string into a list of :class:`Token`.
 
@@ -162,28 +222,28 @@ class Lexer:
         self._filename = filename
         self._i = 0
         self._line = 1
-        self._col = 1
+        #: offset of the first character of the current line
+        self._line_start = 0
         self._diags = diagnostics
         self._lines = source.split("\n")
 
     # -- low-level cursor helpers ------------------------------------------
 
     def _pos(self) -> Position:
-        return Position(self._line, self._col, self._filename)
+        return Position(self._line, self._i - self._line_start + 1, self._filename)
 
     def _peek(self, offset: int = 0) -> str:
         j = self._i + offset
         return self._src[j] if j < len(self._src) else ""
 
     def _advance(self, n: int = 1) -> str:
-        taken = self._src[self._i : self._i + n]
-        for ch in taken:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._i += n
+        i = self._i
+        taken = self._src[i : i + n]
+        newlines = taken.count("\n")
+        if newlines:
+            self._line += newlines
+            self._line_start = i + taken.rindex("\n") + 1
+        self._i = i + len(taken)
         return taken
 
     def _at_end(self) -> bool:
@@ -221,37 +281,78 @@ class Lexer:
 
     def tokenize(self) -> list[Token]:
         """Scan the whole input and return tokens ending with an EOF token."""
+        src = self._src
+        match = _TOKEN.match
         tokens: list[Token] = []
+        append = tokens.append
+        i, line, line_start = self._i, self._line, self._line_start
+        filename = self._filename
         while True:
-            self._skip_trivia()
-            if self._at_end():
-                tokens.append(Token(TokenKind.EOF, "", self._pos()))
-                return tokens
-            tok = self._next_token()
-            if tok is not None:
-                tokens.append(tok)
-
-    def _skip_trivia(self) -> None:
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._pos()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._at_end():
-                        self._error("unterminated block comment", start)
-                        return
-                    self._advance()
-                self._advance(2)
-            elif ch == "#" and self._col == 1:
-                self._skip_directive_line()
+            m = match(src, i)
+            if m is None:
+                # literals, directives and errors: the slow scanners below
+                self._i, self._line, self._line_start = i, line, line_start
+                if self._at_end():
+                    append(Token(TokenKind.EOF, "", self._pos()))
+                    return tokens
+                tok = self._scan_other()
+                if tok is not None:
+                    append(tok)
+                i, line, line_start = self._i, self._line, self._line_start
+                filename = self._filename
+                continue
+            group = m.lastgroup
+            end = m.end()
+            if group == "skip":
+                newlines = src.count("\n", i, end)
+                if newlines:
+                    line += newlines
+                    line_start = src.rindex("\n", i, end) + 1
+                i = end
+                continue
+            text = m.group()
+            column = i - line_start + 1
+            if group == "ident":
+                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+                append(_token(kind, text, line, column, filename, text))
+            elif group == "punct":
+                append(_token(TokenKind.PUNCT, text, line, column, filename))
             else:
-                return
+                body = text.rstrip("uUlL")
+                if body in ("0x", "0X"):
+                    pos = Position(line, column, filename)
+                    self._error("invalid hex literal", pos)
+                    # no digits: the suffix letters lex on their own
+                    text, value, end = body, 0, i + 2
+                else:
+                    value = _number_value(body)
+                    if value is None:
+                        pos = Position(line, column, filename)
+                        self._error(f"invalid octal literal {body!r}", pos)
+                        value = 0
+                append(_token(TokenKind.NUMBER, text, line, column, filename, value))
+            i = end
+
+    def _scan_other(self) -> Token | None:
+        """Scan one token (or skip one directive) the master regex missed."""
+        pos = self._pos()
+        ch = self._peek()
+        if ch == "#" and self._i == self._line_start:
+            self._skip_directive_line()
+            return None
+        if ch == "/":  # a block comment that never closes
+            self._error("unterminated block comment", pos)
+            self._advance(len(self._src) - self._i)
+            return None
+        if ch == "'":
+            return self._scan_char(pos)
+        if ch == '"':
+            return self._scan_string(pos)
+        if ch.isalpha():
+            return self._scan_ident(pos)
+        self._error(f"unexpected character {ch!r}", pos)
+        self._advance()  # recovery: drop the offending character
+        return None
 
     def _skip_directive_line(self) -> None:
         """Skip a ``#`` line, honouring continuations and linemarkers."""
@@ -280,71 +381,9 @@ class Lexer:
             self._marker_file = self._filename
             self._marker_delta = self._line - raw_next_line
 
-    def _next_token(self) -> Token | None:
-        pos = self._pos()
-        ch = self._peek()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._scan_number(pos)
-        if ch.isalpha() or ch == "_":
-            return self._scan_ident(pos)
-        if ch == "'":
-            return self._scan_char(pos)
-        if ch == '"':
-            return self._scan_string(pos)
-        return self._scan_punct(pos)
-
-    def _scan_number(self, pos: Position) -> Token:
-        start = self._i
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self._src[start : self._i]
-            if text in ("0x", "0X"):
-                self._error("invalid hex literal", pos)
-                return Token(TokenKind.NUMBER, text, pos, 0)
-            value: object = int(text, 16)
-        else:
-            is_float = False
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1).isdigit():
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            text = self._src[start : self._i]
-            if is_float:
-                value = float(text)
-            elif len(text) > 1 and text[0] == "0":
-                try:
-                    value = int(text, 8)
-                except ValueError:
-                    self._error(f"invalid octal literal {text!r}", pos)
-                    value = 0
-            else:
-                value = int(text)
-        # Integer suffixes are accepted and ignored. (Note: membership
-        # tests must exclude the empty string _peek returns at EOF.)
-        while self._peek() and self._peek() in "uUlL":
-            self._advance()
-        full = self._src[start : self._i]
-        return Token(TokenKind.NUMBER, full, pos, value)
-
     def _scan_ident(self, pos: Position) -> Token:
         start = self._i
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
+        self._advance(_IDENT_REST.match(self._src, start + 1).end() - start)
         text = self._src[start : self._i]
         kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
         return Token(kind, text, pos, text)
@@ -361,9 +400,9 @@ class Lexer:
                 self._error("invalid hex escape", pos)
                 return "?"
             return chr(int(digits, 16) & 0xFF)
-        if ch.isdigit():
+        if ch in _OCTAL_DIGITS:
             digits = ""
-            while self._peek().isdigit() and len(digits) < 3:
+            while self._peek() in _OCTAL_DIGITS and len(digits) < 3:
                 digits += self._advance()
             return chr(int(digits, 8) & 0xFF)
         if ch in _ESCAPES:
@@ -408,20 +447,6 @@ class Lexer:
         value = "".join(chars)
         return Token(TokenKind.STRING, f'"{value}"', pos, value)
 
-    def _scan_punct(self, pos: Position) -> Token | None:
-        for table in (_PUNCTS_3, _PUNCTS_2):
-            for p in table:
-                if self._src.startswith(p, self._i):
-                    self._advance(len(p))
-                    return Token(TokenKind.PUNCT, p, pos)
-        ch = self._peek()
-        if ch in _PUNCTS_1:
-            self._advance()
-            return Token(TokenKind.PUNCT, ch, pos)
-        self._error(f"unexpected character {ch!r}", pos)
-        self._advance()  # recovery: drop the offending character
-        return None
-
 
 def tokenize(
     source: str,
@@ -430,7 +455,7 @@ def tokenize(
 ) -> list[Token]:
     """Convenience wrapper: tokenize ``source`` into a token list.
 
-    With ``diagnostics``, lexical errors are recorded there and skipped
-    instead of raised.
+    With ``diagnostics``, lexical errors are recorded and skipped instead
+    of raised.
     """
     return Lexer(source, filename, diagnostics).tokenize()

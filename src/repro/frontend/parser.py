@@ -7,8 +7,21 @@ The grammar covers the language the analyzer handles:
 * statements: compound, ``if``/``else``, ``while``, ``do``, ``for``,
   ``switch`` (with fallthrough), ``break``, ``continue``, ``return``,
   ``goto``/labels, expression statements, local declarations;
-* expressions: the full C operator precedence ladder minus bit-field,
-  compound-literal and designated-initializer forms.
+* expressions: every C operator minus bit-field, compound-literal and
+  designated-initializer forms.
+
+Every decision looks at most three tokens ahead, and only a quarantined
+body is scanned twice, so a parse costs a small constant per token. The ten
+binary precedence levels (``||`` up to ``*``) are parsed by precedence
+climbing: one loop looks each operator up in ``_BINARY_LEVEL`` and recurses
+only for a right operand, where a ladder of one function per level would
+recurse through all ten levels for every operand. The trees are the same:
+left-associative ``BinOp`` nodes, each positioned at the first token of
+its leftmost operand.
+
+Constant expressions (array sizes, enumerator values) fold through
+:func:`fold_const`; a shift count outside 0..63 does not fold, so it is
+reported as "expected integer constant expression".
 
 Type names are the builtin specifiers, ``struct TAG`` and names introduced
 by ``typedef`` — the classic lexer-feedback problem is solved by tracking
@@ -33,6 +46,9 @@ Without a bag the historical fail-fast behaviour is unchanged.
 """
 
 from __future__ import annotations
+
+import operator
+from collections.abc import Callable
 
 from repro.frontend import cast as A
 from repro.frontend.ctypes import (
@@ -95,9 +111,30 @@ _TYPE_KEYWORDS = frozenset(
 
 _STORAGE_KEYWORDS = frozenset({"static", "extern", "register", "auto"})
 
+#: keywords that can start a declaration
+_DECL_KEYWORDS = _TYPE_KEYWORDS | _STORAGE_KEYWORDS | {"typedef"}
+
 _ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 )
+
+#: binary operators by precedence level, loosest (``||``) first
+_BINARY_LEVELS: list[tuple[str, ...]] = [
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">="),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
+_UNARY_OPS = frozenset({"-", "+", "!", "~", "&", "*"})
+_POSTFIX_OPS = frozenset({"(", "[", ".", "->", "++", "--"})
 
 #: combined statement/expression nesting depth bound — deep enough for any
 #: realistic C, shallow enough that fuzzer-made ``((((...`` towers raise a
@@ -136,8 +173,11 @@ class Parser:
     # -- token stream helpers ------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        j = min(self._i + offset, len(self._toks) - 1)
-        return self._toks[j]
+        # the stream ends in EOF and _next never moves past it, so only
+        # lookahead needs clamping
+        if offset:
+            return self._toks[min(self._i + offset, len(self._toks) - 1)]
+        return self._toks[self._i]
 
     def _next(self) -> Token:
         tok = self._toks[self._i]
@@ -146,7 +186,7 @@ class Parser:
         return tok
 
     def _at(self, text: str) -> bool:
-        tok = self._peek()
+        tok = self._toks[self._i]
         return tok.text == text and tok.kind in (TokenKind.PUNCT, TokenKind.KEYWORD)
 
     def _accept(self, text: str) -> Token | None:
@@ -181,7 +221,7 @@ class Parser:
         return self._next()
 
     def _pos(self) -> Position:
-        return self._peek().pos
+        return self._toks[self._i].pos
 
     def _enter(self) -> None:
         self._depth += 1
@@ -195,9 +235,7 @@ class Parser:
 
     def _starts_type(self, offset: int = 0) -> bool:
         tok = self._peek(offset)
-        if tok.kind is TokenKind.KEYWORD and tok.text in (
-            _TYPE_KEYWORDS | _STORAGE_KEYWORDS | {"typedef"}
-        ):
+        if tok.kind is TokenKind.KEYWORD and tok.text in _DECL_KEYWORDS:
             return True
         return tok.kind is TokenKind.IDENT and tok.text in self._typedefs
 
@@ -543,17 +581,9 @@ class Parser:
         if self._accept(";"):
             return A.EmptyStmt(pos=pos)
         if tok.kind is TokenKind.KEYWORD:
-            handler = {
-                "if": self._parse_if,
-                "while": self._parse_while,
-                "do": self._parse_do,
-                "for": self._parse_for,
-                "switch": self._parse_switch,
-                "return": self._parse_return,
-                "goto": self._parse_goto,
-            }.get(tok.text)
+            handler = _STATEMENT_KEYWORDS.get(tok.text)
             if handler is not None:
-                return handler()
+                return handler(self)
             if tok.text == "break":
                 self._next()
                 self._expect(";")
@@ -696,7 +726,7 @@ class Parser:
         self._expect(";")
         return A.Goto(label, pos=pos)
 
-    # -- expressions (precedence ladder) --------------------------------------
+    # -- expressions ------------------------------------------------------------
 
     def _parse_expr(self) -> A.Expr:
         pos = self._pos()
@@ -711,7 +741,7 @@ class Parser:
     def _parse_assignment(self) -> A.Expr:
         pos = self._pos()
         left = self._parse_conditional()
-        tok = self._peek()
+        tok = self._toks[self._i]
         if tok.kind is TokenKind.PUNCT and tok.text in _ASSIGN_OPS:
             self._next()
             right = self._parse_assignment()
@@ -728,35 +758,26 @@ class Parser:
             return A.Conditional(cond, then, otherwise, pos=pos)
         return cond
 
-    _BINARY_LEVELS: list[tuple[str, ...]] = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
+    def _parse_binary(self, min_level: int) -> A.Expr:
+        """Precedence climbing: a cast expression followed by binary
+        operators of level ``min_level`` or tighter (``_BINARY_LEVEL``).
 
-    def _parse_binary(self, level: int) -> A.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_cast()
-        ops = self._BINARY_LEVELS[level]
+        Operators are left-associative: the right operand only takes
+        operators that bind tighter than its own. Every ``BinOp`` built
+        here carries the position of the first token of its leftmost
+        operand.
+        """
         pos = self._pos()
-        left = self._parse_binary(level + 1)
+        left = self._parse_cast()
+        toks = self._toks
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.PUNCT and tok.text in ops:
-                # Don't treat '&' before a type keyword oddly; binary ops are
-                # only valid where an operand follows, which parsing handles.
-                self._next()
-                right = self._parse_binary(level + 1)
-                left = A.BinOp(tok.text, left, right, pos=pos)
-            else:
+            tok = toks[self._i]
+            level = _BINARY_LEVEL.get(tok.text)
+            if level is None or level < min_level or tok.kind is not TokenKind.PUNCT:
                 return left
+            self._i += 1
+            right = self._parse_binary(level + 1)
+            left = A.BinOp(tok.text, left, right, pos=pos)
 
     def _parse_cast(self) -> A.Expr:
         # Every structurally recursive expression path (parenthesized
@@ -787,17 +808,18 @@ class Parser:
         return ty
 
     def _parse_unary(self) -> A.Expr:
-        pos = self._pos()
-        tok = self._peek()
-        if tok.text in ("++", "--") and tok.kind is TokenKind.PUNCT:
-            self._next()
-            operand = self._parse_unary()
-            return A.IncDec(tok.text, operand, prefix=True, pos=pos)
-        if tok.kind is TokenKind.PUNCT and tok.text in ("-", "+", "!", "~", "&", "*"):
-            self._next()
-            operand = self._parse_cast()
-            return A.UnOp(tok.text, operand, pos=pos)
-        if tok.is_keyword("sizeof"):
+        tok = self._toks[self._i]
+        pos = tok.pos
+        if tok.kind is TokenKind.PUNCT:
+            if tok.text == "++" or tok.text == "--":
+                self._next()
+                operand = self._parse_unary()
+                return A.IncDec(tok.text, operand, prefix=True, pos=pos)
+            if tok.text in _UNARY_OPS:
+                self._next()
+                operand = self._parse_cast()
+                return A.UnOp(tok.text, operand, pos=pos)
+        elif tok.kind is TokenKind.KEYWORD and tok.text == "sizeof":
             self._next()
             if self._at("(") and self._starts_type(1):
                 self._next()
@@ -810,9 +832,15 @@ class Parser:
 
     def _parse_postfix(self) -> A.Expr:
         expr = self._parse_primary()
+        toks = self._toks
         while True:
-            pos = self._pos()
-            if self._accept("("):
+            tok = toks[self._i]
+            op = tok.text
+            if op not in _POSTFIX_OPS or tok.kind is not TokenKind.PUNCT:
+                return expr
+            pos = tok.pos
+            self._i += 1
+            if op == "(":
                 args: list[A.Expr] = []
                 if not self._at(")"):
                     while True:
@@ -821,49 +849,56 @@ class Parser:
                             break
                 self._expect(")")
                 expr = A.Call(expr, args, pos=pos)
-            elif self._accept("["):
+            elif op == "[":
                 index = self._parse_expr()
                 self._expect("]")
                 expr = A.Index(expr, index, pos=pos)
-            elif self._accept("."):
+            elif op == "." or op == "->":
                 name = self._expect_ident().text
-                expr = A.FieldAccess(expr, name, arrow=False, pos=pos)
-            elif self._accept("->"):
-                name = self._expect_ident().text
-                expr = A.FieldAccess(expr, name, arrow=True, pos=pos)
-            elif self._at("++") or self._at("--"):
-                op = self._next().text
-                expr = A.IncDec(op, expr, prefix=False, pos=pos)
+                expr = A.FieldAccess(expr, name, arrow=op == "->", pos=pos)
             else:
-                return expr
+                expr = A.IncDec(op, expr, prefix=False, pos=pos)
 
     def _parse_primary(self) -> A.Expr:
-        tok = self._peek()
+        tok = self._toks[self._i]
         pos = tok.pos
-        if tok.kind is TokenKind.NUMBER:
-            self._next()
+        kind = tok.kind
+        if kind is TokenKind.IDENT:
+            self._i += 1
+            if tok.text in self._enum_consts:
+                return A.IntLit(self._enum_consts[tok.text], pos=pos)
+            return A.Ident(tok.text, pos=pos)
+        if kind is TokenKind.NUMBER:
+            self._i += 1
             if isinstance(tok.value, float):
                 return A.FloatLit(tok.value, pos=pos)
             return A.IntLit(int(tok.value), pos=pos)
-        if tok.kind is TokenKind.CHAR:
-            self._next()
+        if kind is TokenKind.CHAR:
+            self._i += 1
             return A.IntLit(int(tok.value), pos=pos)
-        if tok.kind is TokenKind.STRING:
-            self._next()
+        if kind is TokenKind.STRING:
+            self._i += 1
             parts = [str(tok.value)]
             while self._peek().kind is TokenKind.STRING:
                 parts.append(str(self._next().value))
             return A.StrLit("".join(parts), pos=pos)
-        if tok.kind is TokenKind.IDENT:
-            self._next()
-            if tok.text in self._enum_consts:
-                return A.IntLit(self._enum_consts[tok.text], pos=pos)
-            return A.Ident(tok.text, pos=pos)
         if self._accept("("):
             expr = self._parse_expr()
             self._expect(")")
             return expr
         raise self._error(f"expected expression, found {tok.text!r}", pos)
+
+
+#: statements introduced by a keyword that has its own parse method
+_STATEMENT_KEYWORDS = {
+    "if": Parser._parse_if,
+    "while": Parser._parse_while,
+    "do": Parser._parse_do,
+    "for": Parser._parse_for,
+    "switch": Parser._parse_switch,
+    "return": Parser._parse_return,
+    "goto": Parser._parse_goto,
+}
 
 
 def _substitute_base(inner: CType, new_base: CType) -> CType:
@@ -882,8 +917,37 @@ def _substitute_base(inner: CType, new_base: CType) -> CType:
     return inner
 
 
+#: shift counts fold only in 0..63: C leaves the others undefined, and a
+#: huge count would make Python build a huge integer
+_MAX_SHIFT = 63
+
+_FOLD_UNARY: dict[str, Callable[[int], int]] = {
+    "-": operator.neg,
+    "+": operator.pos,
+    "!": lambda v: int(not v),
+    "~": operator.invert,
+}
+
+_FOLD_BINARY: dict[str, Callable[[int, int], int | None]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": lambda a, b: a // b if b else None,
+    "%": lambda a, b: a % b if b else None,
+    "<<": lambda a, b: a << b if 0 <= b <= _MAX_SHIFT else None,
+    ">>": lambda a, b: a >> b if 0 <= b <= _MAX_SHIFT else None,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+}
+
+
 def fold_const(expr: A.Expr, env: dict[str, int] | None = None) -> int | None:
-    """Best-effort constant folding for array sizes and case labels."""
+    """Best-effort constant folding for array sizes and case labels.
+
+    ``None`` means "not a foldable integer constant": a free name, an
+    unsupported operator, division by zero or a shift count outside 0..63.
+    """
     env = env or {}
     if isinstance(expr, A.IntLit):
         return expr.value
@@ -891,31 +955,19 @@ def fold_const(expr: A.Expr, env: dict[str, int] | None = None) -> int | None:
         return env.get(expr.name)
     if isinstance(expr, A.UnOp):
         v = fold_const(expr.operand, env)
-        if v is None:
+        op = _FOLD_UNARY.get(expr.op)
+        if v is None or op is None:
             return None
-        return {"-": -v, "+": v, "!": int(not v), "~": ~v}.get(expr.op)
+        return op(v)
     if isinstance(expr, A.SizeOf):
         return 1  # abstract unit size; the analysis is unit-agnostic
     if isinstance(expr, A.BinOp):
         lhs = fold_const(expr.left, env)
         rhs = fold_const(expr.right, env)
-        if lhs is None or rhs is None:
+        op = _FOLD_BINARY.get(expr.op)
+        if lhs is None or rhs is None or op is None:
             return None
-        try:
-            return {
-                "+": lambda: lhs + rhs,
-                "-": lambda: lhs - rhs,
-                "*": lambda: lhs * rhs,
-                "/": lambda: lhs // rhs if rhs else None,
-                "%": lambda: lhs % rhs if rhs else None,
-                "<<": lambda: lhs << rhs,
-                ">>": lambda: lhs >> rhs,
-                "&": lambda: lhs & rhs,
-                "|": lambda: lhs | rhs,
-                "^": lambda: lhs ^ rhs,
-            }[expr.op]()
-        except KeyError:
-            return None
+        return op(lhs, rhs)
     return None
 
 

@@ -2,7 +2,9 @@
 
 Seeded random mutations of the example C sources — byte flips, byte
 deletions, token-boundary splices, and truncations — are fed to the
-frontend in both strict and recovery mode. The contract under attack:
+frontend in both strict and recovery mode, and so are the sources with
+non-ASCII characters (digits other than ``[0-9]``, a letter, a no-break
+space, a byte-order mark) spliced in. The contract under attack:
 
 * the frontend may *reject* input, but only ever by raising a
   :class:`FrontendError` subclass — never ``IndexError``,
@@ -56,24 +58,41 @@ def _cases():
             yield pytest.param(source, seed, id=f"{path.stem}-{seed}")
 
 
+def _assert_frontend_survives(source: str) -> None:
+    # strict mode: FrontendError is the only acceptable exception
+    try:
+        parse(source, "fuzz.c")
+    except FrontendError:
+        pass
+
+    # recovery mode: must not raise at all
+    bag = DiagnosticBag()
+    tokenize(source, "fuzz.c", DiagnosticBag())
+    unit = parse(source, "fuzz.c", bag)
+    assert unit is not None
+
+
 @pytest.mark.parametrize("source,seed", _cases())
 def test_mutated_input_never_crashes_the_frontend(source, seed):
     rng = random.Random(seed)
     mutated = source
     for _ in range(rng.randrange(1, 4)):
         mutated = _mutate(mutated, rng)
+    _assert_frontend_survives(mutated)
 
-    # strict mode: FrontendError is the only acceptable exception
-    try:
-        parse(mutated, "fuzz.c")
-    except FrontendError:
-        pass
 
-    # recovery mode: must not raise at all
-    bag = DiagnosticBag()
-    tokenize(mutated, "fuzz.c", DiagnosticBag())
-    unit = parse(mutated, "fuzz.c", bag)
-    assert unit is not None
+#: digits other than [0-9] (superscript, Arabic-Indic, fullwidth), a
+#: letter, a no-break space and a byte-order mark
+_NON_ASCII = ["²", "٣", "１", "é", "\u00a0", "\ufeff"]
+
+
+@pytest.mark.parametrize("source,seed", _cases())
+def test_non_ascii_input_never_crashes_the_frontend(source, seed):
+    rng = random.Random(seed)
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(source) + 1)
+        source = source[:i] + rng.choice(_NON_ASCII) + source[i:]
+    _assert_frontend_survives(source)
 
 
 def test_pathological_nesting_rejected_cleanly():

@@ -1,9 +1,12 @@
 """Lexer unit tests."""
 
+import pickle
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
-from repro.frontend.errors import LexError
-from repro.frontend.lexer import TokenKind, tokenize
+from repro.frontend.errors import DiagnosticBag, LexError, Position
+from repro.frontend.lexer import Token, TokenKind, tokenize
 
 
 def kinds(src):
@@ -158,3 +161,98 @@ class TestEofRegressions:
 
     def test_suffix_at_eof(self):
         assert values("7UL") == [7]
+
+
+class TestAsciiDigits:
+    """Digits are ASCII [0-9]: a non-ASCII digit outside an identifier is an
+    unexpected character, never a number (``int('²')`` raised ValueError,
+    and ``٣``/``１``/``𝟙`` lexed as 3 and 1)."""
+
+    @pytest.mark.parametrize("digit", ["²", "٣", "１", "𝟙"])
+    def test_non_ascii_digit_is_an_unexpected_character(self, digit):
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(f"int x = {digit};")
+
+    @pytest.mark.parametrize("digit", ["²", "٣", "１", "𝟙"])
+    def test_non_ascii_digit_is_recovered(self, digit):
+        bag = DiagnosticBag()
+        toks = tokenize(f"int x = {digit};", "d.c", bag)
+        assert [t.text for t in toks[:-1]] == ["int", "x", "=", ";"]
+        [diag] = bag.errors()
+        assert diag.message == f"unexpected character {digit!r}"
+        assert (diag.pos.line, diag.pos.column) == (1, 9)
+
+    def test_non_ascii_digit_ends_a_number(self):
+        bag = DiagnosticBag()
+        assert [t.value for t in tokenize("1٣", "d.c", bag)[:-1]] == [1]
+        assert len(bag.errors()) == 1
+
+    def test_non_ascii_digits_continue_an_identifier(self):
+        toks = tokenize("x² y٣ é1")
+        assert [(t.kind, t.text) for t in toks[:-1]] == [
+            (TokenKind.IDENT, "x²"),
+            (TokenKind.IDENT, "y٣"),
+            (TokenKind.IDENT, "é1"),
+        ]
+
+    def test_octal_escapes_take_octal_digits_only(self):
+        # "\18" is \1 then '8'; "\8" and "\²" used to raise ValueError
+        assert values(r'"\18"') == ["\x018"]
+        for escape in ("8", "²"):
+            with pytest.raises(LexError, match="unknown escape sequence"):
+                tokenize(f'"\\{escape}"')
+
+
+class TestMasterRegexEdges:
+    """Cases where one alternation must pick what the old per-character
+    scanners picked."""
+
+    def test_hex_prefix_without_digits(self):
+        bag = DiagnosticBag()
+        toks = tokenize("0xul", "h.c", bag)
+        assert [(t.kind, t.text, t.value) for t in toks[:-1]] == [
+            (TokenKind.NUMBER, "0x", 0),
+            (TokenKind.IDENT, "ul", "ul"),
+        ]
+        assert [d.message for d in bag.errors()] == ["invalid hex literal"]
+
+    def test_dot_needs_a_digit_to_make_a_float(self):
+        assert texts("1.e5 ..5 ...") == ["1", ".", "e5", ".", ".5", "..."]
+
+    def test_slash_star_without_close_is_a_comment_error(self):
+        with pytest.raises(LexError, match="unterminated block comment"):
+            tokenize("a / *b /* c")
+
+    def test_hash_after_column_one_is_an_error(self):
+        with pytest.raises(LexError, match="unexpected character '#'"):
+            tokenize("int x; #define A")
+
+    def test_columns_after_comments_and_crlf(self):
+        toks = tokenize("a /* x\r\n y */ b\r\n\tc // d\n  e")
+        assert [(t.text, t.pos.line, t.pos.column) for t in toks] == [
+            ("a", 1, 1), ("b", 2, 7), ("c", 3, 2), ("e", 4, 3), ("", 4, 4),
+        ]
+
+    def test_linemarker_retargets_positions(self):
+        toks = tokenize('a\n# 40 "h.h"\n  b\n', "m.c")
+        assert [(t.pos.line, t.pos.column, t.pos.filename) for t in toks] == [
+            (1, 1, "m.c"), (40, 3, "h.h"), (41, 1, "h.h"),
+        ]
+
+
+def test_lexed_tokens_are_ordinary_frozen_dataclasses():
+    """The lexer builds tokens without their ``__init__``; they must be
+    indistinguishable from constructed ones."""
+    tok = tokenize("  foo")[0]
+    built = Token(TokenKind.IDENT, "foo", Position(1, 3, "<input>"), "foo")
+    assert tok == built and hash(tok) == hash(built)
+    assert tok.pos == built.pos and hash(tok.pos) == hash(built.pos)
+    assert list(vars(tok)) == [f.name for f in fields(Token)]
+    assert list(vars(tok.pos)) == [f.name for f in fields(Position)]
+    assert pickle.dumps(tok) == pickle.dumps(built)
+    assert pickle.loads(pickle.dumps(tok)) == built
+    assert tok.pos < Position(1, 4, "<input>")
+    with pytest.raises(FrozenInstanceError):
+        tok.text = "bar"
+    with pytest.raises(FrozenInstanceError):
+        tok.pos.line = 2

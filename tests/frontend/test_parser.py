@@ -12,7 +12,8 @@ from repro.frontend.ctypes import (
     StructType,
     VoidType,
 )
-from repro.frontend.errors import ParseError
+from repro.frontend.errors import DiagnosticBag, ParseError
+from repro.frontend.parser import fold_const
 
 
 def parse_expr(text: str) -> A.Expr:
@@ -323,3 +324,62 @@ class TestErrors:
     def test_statement_before_case(self):
         with pytest.raises(ParseError):
             parse("int main(void) { switch (x) { a = 1; } }")
+
+
+class TestPrecedenceClimbing:
+    def test_every_binop_is_positioned_at_its_leftmost_operand(self):
+        e = parse_expr("a * b + c * d - e")
+        # ((a * b) + (c * d)) - e; "a" is column 28 after "int main(void) { __probe = "
+        assert (e.op, e.left.op, e.left.left.op, e.left.right.op) == ("-", "+", "*", "*")
+        assert e.pos.column == e.left.pos.column == e.left.left.pos.column == 28
+        assert e.left.right.pos.column == 36
+
+    def test_levels_bind_from_loosest_to_tightest(self):
+        e = parse_expr("a || b && c | d ^ e & f == g < h << i + j * k")
+        ops = []
+        while isinstance(e, A.BinOp):
+            ops.append(e.op)
+            e = e.right
+        assert ops == ["||", "&&", "|", "^", "&", "==", "<", "<<", "+", "*"]
+
+    def test_paren_tower_hits_the_nesting_guard(self):
+        # a ladder of one frame per level overflowed the interpreter stack
+        # first and reported the whole file at 1:1
+        bag = DiagnosticBag()
+        parse("int f(void) { return " + "(" * 100 + ";", "deep.c", bag)
+        [diag] = bag.errors()
+        assert diag.message == "construct nested too deeply"
+        assert (diag.pos.line, diag.pos.column) == (1, 85)
+
+
+class TestConstantShifts:
+    """A shift count outside 0..63 is not a constant expression (it used to
+    raise a raw ``ValueError: negative shift count``)."""
+
+    @pytest.mark.parametrize(
+        "source",
+        ["int a[1 << -1];", "int a[2 >> -1];", "enum { A = 1 << -1 };", "int a[1 << 64];"],
+    )
+    def test_bad_shift_count_is_a_parse_error(self, source):
+        with pytest.raises(ParseError, match="expected integer constant expression"):
+            parse(source)
+        bag = DiagnosticBag()
+        parse(source, "shift.c", bag)
+        assert [d.message for d in bag.errors()] == [
+            "expected integer constant expression"
+        ]
+
+    def test_shift_counts_up_to_63_fold(self):
+        unit = parse("int a[1 << 3]; enum { B = (1 << 63) >> 62 }; int b[B];")
+        assert unit.globals[0].ctype == ArrayType(IntType("int"), 8)
+        assert unit.globals[1].ctype == ArrayType(IntType("int"), 2)
+
+    def test_fold_const_table(self):
+        def fold(text):
+            return fold_const(parse_expr(text))
+
+        assert fold("7 / 2 + 7 % 2 - (1 << 2) * 3 + (6 & 3 | 8 ^ 1)") == 3 + 1 - 12 + 11
+        assert fold("-5 + ~0 + !0 + +2") == -5 - 1 + 1 + 2
+        assert fold("1 / 0") is None and fold("1 % 0") is None
+        assert fold("1 < 2") is None and fold("*p") is None
+        assert fold("8 >> 64") is None and fold("8 >> 63") == 0
