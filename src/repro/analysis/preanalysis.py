@@ -158,12 +158,9 @@ def run_preanalysis(
         state = engine.table.get(OnePointSpace.NODE, AbsState())
 
         result = PreAnalysis(program, state, rounds=space.rounds, visits=visits)
-        resolving_ctx = AnalysisContext(program, site_callees=None)
         for node in nodes:
             if isinstance(node.cmd, CCall):
-                result.site_callees[node.nid] = resolving_ctx.resolve_callees(
-                    node, state
-                )
+                result.site_callees[node.nid] = ctx.resolve_callees(node, state)
         sp.set(rounds=space.rounds, visits=visits, state_size=len(state))
     tel.count("pre.rounds", space.rounds)
     tel.count("pre.visits", visits)

@@ -4,19 +4,43 @@ handles: arrays (block smashing with base/offset/size), field-sensitive
 structs, allocation-site heap, function pointers, and interprocedural
 argument/return binding.
 
-The same evaluator serves three masters:
+The same semantics serves three masters:
 
 * the dense and sparse fixpoint engines (transfer functions),
 * the flow-insensitive pre-analysis (same functions over one global state),
 * the D̂/Û approximation (every location read or written can be recorded in
   an :class:`AccessLog` — this is the semantics-based def/use derivation of
   Section 3.2, including the *implicit use* of weakly-updated targets).
+
+**Compiled transfer functions.** Every analysis layer runs ``f♯_c`` many
+times per control point, so the IR is not interpreted on each visit. The
+first time an :class:`AnalysisContext` needs a control point's command, an
+expression or an lvalue, it compiles it into a Python closure
+``(state, log) -> result``. Everything static is decided at compile time:
+the canonical location of a variable lvalue (and of fields of it), the
+interned value of a constant, the interval function of each operator,
+whether a write to a static target is strong or weak, the callees of a
+call site whose callees the context fixes, and the ``!``-unwrapping of an
+``assume``. What depends on the state — pointer targets, array blocks,
+callees resolved through function pointers — is computed by the closure
+on each call, and the summary-ness of those targets is decided once per
+location and context.
+
+Expressions and lvalues mean the same in every context, so their closures
+are kept in the program's ``compiled_terms`` and shared by all its
+contexts; commands depend on the context (strictness, call graph,
+recursive procedures), so their closures are kept by the context. No
+closure refers back to its context or program, so both are freed as soon
+as they are unreachable, and nothing compiled outlives the program.
+``tests/analysis/semantics_oracle.py`` keeps the tree-walking interpreter
+this replaced; a differential test holds the two equal on outputs and on
+every :class:`AccessLog` set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.domains.absloc import (
     AbsLoc,
@@ -26,9 +50,24 @@ from repro.domains.absloc import (
     RetLoc,
     VarLoc,
 )
-from repro.domains.interval import BOOL, BOT as ITV_BOT, Interval, ONE, ZERO
+from repro.domains.interval import (
+    BOOL,
+    BOT as ITV_BOT,
+    CMP_OPS,
+    FILTER_OPS,
+    ONE,
+    ZERO,
+    Interval,
+)
 from repro.domains.state import AbsState
-from repro.domains.value import AbsValue, ArrayBlock, merge_blocks
+from repro.domains.value import (
+    BOT,
+    TOP_NUM,
+    AbsValue,
+    ArrayBlock,
+    intern_value,
+    merge_blocks,
+)
 from repro.ir.cfg import Node
 from repro.ir.commands import (
     CAlloc,
@@ -67,6 +106,22 @@ _NEGATED = {
 
 _SWAPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "==", "!=": "!="}
 
+#: interval functions of the arithmetic operators without pointer cases
+_ARITH_OPS = {
+    "*": Interval.mul,
+    "/": Interval.div,
+    "%": Interval.mod,
+    "<<": Interval.shl,
+    ">>": Interval.shr,
+    "&": Interval.bitand,
+    "|": Interval.bitor,
+    "^": Interval.bitxor,
+}
+
+_V_ZERO = intern_value(AbsValue(ZERO))
+_V_ONE = intern_value(AbsValue(ONE))
+_V_BOOL = intern_value(AbsValue(BOOL))
+
 
 @dataclass
 class AccessLog:
@@ -90,8 +145,24 @@ class AccessLog:
         self.defined.update(locs)
 
 
+#: a compiled expression: its value in a state, reads logged
+ExprFn = Callable[[AbsState, "AccessLog | None"], AbsValue]
+#: a compiled state-dependent lvalue: the (fresh) set of locations it
+#: denotes in a state, reads of the access path logged
+LocsFn = Callable[[AbsState, "AccessLog | None"], set[AbsLoc]]
+#: a compiled lvalue: its one location when static, else its ``LocsFn``
+CompiledLval = tuple["AbsLoc | None", "LocsFn | None"]
+#: a compiled transfer function: ``f♯_c`` of one control point
+TransferFn = Callable[[AbsState, "AccessLog | None"], "AbsState | None"]
+#: a compiled static write: ``(out, value, log)``
+WriteFn = Callable[[AbsState, AbsValue, "AccessLog | None"], None]
+#: a call site's callees: fixed names, or how to resolve them in a state
+Callees = tuple["tuple[str, ...] | None", Callable]
+
+
 class AnalysisContext:
-    """Whole-program facts the transfer functions need.
+    """Whole-program facts the transfer functions need, and the code
+    compiled from the program under them.
 
     ``strict`` selects the treatment of definitely-false branch conditions:
     strict transfer functions map them to unreachable (``None``), matching a
@@ -122,20 +193,21 @@ class AnalysisContext:
         self.recursive_procs = build_callgraph(
             program, resolve=resolve
         ).recursive_procs()
+        # Compiled code, made on first use. Nodes are keyed by id and
+        # checked by identity (a test may build its own node under an id
+        # the program uses); terms by structure, so equal subterms of
+        # different commands share one closure.
+        self._terms: dict = program.compiled_terms
+        self._transfers: dict[int, tuple[Node, TransferFn]] = {}
+        self._is_summary = _summary_test(self.recursive_procs)
+        self._writer = _writer_cache(self._is_summary)
+        self._write_through = _targets_writer(self._is_summary, True)
+        self._write_targets = _targets_writer(self._is_summary, False)
 
     def is_summary_loc(self, loc: AbsLoc) -> bool:
         """Summary = heap/array cells, plus frame cells of recursive
         procedures (many concrete frames share them)."""
-        if loc.is_summary():
-            return True
-        base = loc
-        while isinstance(base, FieldLoc):
-            base = base.base
-        if isinstance(base, VarLoc) and base.proc in self.recursive_procs:
-            return True
-        if isinstance(base, RetLoc) and base.proc in self.recursive_procs:
-            return True
-        return False
+        return self._is_summary(loc)
 
     def resolve_callees(
         self, node: Node, state: AbsState, log: AccessLog | None = None
@@ -148,25 +220,128 @@ class AnalysisContext:
         the pre-analysis itself does while its global invariant grows. The
         function-pointer reads of that resolution are recorded in ``log``.
         """
-        cmd = node.cmd
-        assert isinstance(cmd, CCall)
-        if self.site_callees is not None:
-            return self.site_callees.get(node.nid, ())
-        if cmd.static_callee is not None and cmd.static_callee in self._defined_funcs:
-            return (cmd.static_callee,)
-        value = Evaluator(self, state, log).eval(cmd.callee)
-        names = tuple(
-            sorted(
-                loc.name
-                for loc in value.ptsto
-                if isinstance(loc, FuncLoc) and loc.name in self._defined_funcs
+        fixed, resolve = _compile_callees(self, node)
+        return fixed if fixed is not None else resolve(state, log)
+
+    # -- compiled code, cached for the context's lifetime -------------------------
+
+    def _transfer_fn(self, node: Node) -> TransferFn:
+        entry = self._transfers.get(node.nid)
+        if entry is None or entry[0] is not node:
+            entry = self._transfers[node.nid] = (node, _compile_transfer(self, node))
+        return entry[1]
+
+    def _expr(self, expr: Expr) -> ExprFn:
+        fn = self._terms.get(expr)
+        if fn is None:
+            fn = self._terms[expr] = _compile_expr(self, expr)
+        return fn
+
+    def _lval(self, lval: Lval) -> CompiledLval:
+        found = self._terms.get(lval)
+        if found is None:
+            found = self._terms[lval] = _compile_lval(self, lval)
+        return found
+
+
+def _summary_test(recursive_procs: set[str]) -> Callable[[AbsLoc], bool]:
+    """``is_summary_loc`` for one set of recursive procedures, answered
+    once per location."""
+    cache: dict[AbsLoc, bool] = {}
+
+    def is_summary(loc: AbsLoc) -> bool:
+        found = cache.get(loc)
+        if found is None:
+            base = loc
+            while isinstance(base, FieldLoc):
+                base = base.base
+            found = cache[loc] = loc.is_summary() or (
+                isinstance(base, (VarLoc, RetLoc)) and base.proc in recursive_procs
             )
-        )
-        return names
+        return found
+
+    return is_summary
+
+
+def _writer_cache(
+    is_summary: Callable[[AbsLoc], bool]
+) -> Callable[[AbsLoc, bool], WriteFn]:
+    """``writer(loc, weak)``: the write of a value to the static location
+    ``loc`` — strong unless ``weak`` or ``loc`` is a summary — made once
+    per location and flavour."""
+    writers: dict[tuple[AbsLoc, bool], WriteFn] = {}
+
+    def writer(loc: AbsLoc, weak: bool) -> WriteFn:
+        fn = writers.get((loc, weak))
+        if fn is None:
+            fn = writers[loc, weak] = _static_writer(loc, weak or is_summary(loc))
+        return fn
+
+    return writer
+
+
+def _static_writer(loc: AbsLoc, weak: bool) -> WriteFn:
+    """A strong or weak update of ``loc`` with Definition 1/2-faithful
+    logging: a weak write also *uses* its target (its old value flows into
+    the new), and a strong one seeds the must-def analysis."""
+    if weak:
+
+        def write_weak(out: AbsState, value: AbsValue, log: AccessLog | None) -> None:
+            if log is not None:
+                log.defined.add(loc)
+                log.used.add(loc)
+            out.weak_set(loc, value)
+
+        return write_weak
+
+    def write_strong(out: AbsState, value: AbsValue, log: AccessLog | None) -> None:
+        if log is not None:
+            log.defined.add(loc)
+            log.strong_defined.add(loc)
+        out.set(loc, value)
+
+    return write_strong
+
+
+def _targets_writer(is_summary: Callable[[AbsLoc], bool], pointer_target: bool):
+    """``write(out, locs, value, log)``: the update of a state-dependent
+    target set — strong only for a single non-summary target.
+
+    Writes through pointers (``pointer_target``) log their targets as used
+    even when the update is strong — the paper's Û for ``*x := e`` always
+    contains ``ŝ_c(x).P̂`` — because the pre-analysis target set may shrink
+    to a pass-through at analysis time; they never seed the must-def
+    analysis.
+    """
+
+    def write(
+        out: AbsState, locs: set[AbsLoc], value: AbsValue, log: AccessLog | None
+    ) -> None:
+        if log is not None:
+            log.defined.update(locs)
+        if len(locs) == 1:
+            (loc,) = locs
+            if not is_summary(loc):
+                if log is not None:
+                    if pointer_target:
+                        log.used.add(loc)
+                    else:
+                        log.strong_defined.add(loc)
+                out.set(loc, value)
+                return
+        if log is not None:
+            log.used.update(locs)
+        for loc in locs:
+            out.weak_set(loc, value)
+
+    return write
 
 
 class Evaluator:
-    """Evaluates pure IR expressions and lvalues over an abstract state."""
+    """Evaluates pure IR expressions and lvalues over an abstract state,
+    through the context's compiled code."""
+
+    __slots__ = ("ctx", "state", "log")
 
     def __init__(
         self,
@@ -178,153 +353,15 @@ class Evaluator:
         self.state = state
         self.log = log
 
-    # -- reads -------------------------------------------------------------------
-
-    def _read(self, loc: AbsLoc) -> AbsValue:
-        if self.log is not None:
-            self.log.use(loc)
-        return self.state.get(loc)
-
     def eval(self, expr: Expr) -> AbsValue:
-        if isinstance(expr, ENum):
-            return AbsValue.of_const(expr.value)
-        if isinstance(expr, ELval):
-            locs = self.lval_locs(expr.lval)
-            out = AbsValue.bottom()
-            for loc in locs:
-                out = out.join(self._read(loc))
-            return out
-        if isinstance(expr, EAddrOf):
-            return self._eval_addrof(expr.lval)
-        if isinstance(expr, EStrAddr):
-            block = ArrayBlock(
-                AllocLoc(f"str:{expr.site}"),
-                Interval.const(0),
-                Interval.const(expr.length),
-            )
-            return AbsValue.of_block(block)
-        if isinstance(expr, EBinOp):
-            return self._eval_binop(expr)
-        if isinstance(expr, EUnOp):
-            return self._eval_unop(expr)
-        if isinstance(expr, EUnknown):
-            return AbsValue.top()
-        raise TypeError(f"unknown expression {expr!r}")
-
-    def _eval_addrof(self, lval: Lval) -> AbsValue:
-        if isinstance(lval, VarLv) and lval.proc is None:
-            if lval.name in self.ctx._defined_funcs:
-                return AbsValue.of_locs({FuncLoc(lval.name)})
-        locs = self.lval_locs(lval)
-        return AbsValue.of_locs(frozenset(locs))
-
-    def _eval_binop(self, expr: EBinOp) -> AbsValue:
-        left = self.eval(expr.left)
-        right = self.eval(expr.right)
-        op = expr.op
-        if op in ("<", ">", "<=", ">=", "==", "!="):
-            if left.has_pointers() or right.has_pointers():
-                return AbsValue.of_interval(BOOL)
-            return AbsValue.of_interval(left.itv.cmp(op, right.itv))
-        if op in ("&&", "||"):
-            lt = left.truthiness()
-            rt = right.truthiness()
-            if op == "&&":
-                if lt == ZERO or rt == ZERO:
-                    return AbsValue.of_interval(ZERO)
-                if lt == ONE and rt == ONE:
-                    return AbsValue.of_interval(ONE)
-            else:
-                if lt == ONE or rt == ONE:
-                    return AbsValue.of_interval(ONE)
-                if lt == ZERO and rt == ZERO:
-                    return AbsValue.of_interval(ZERO)
-            return AbsValue.of_interval(BOOL)
-        if op in ("+", "-"):
-            return self._eval_additive(op, left, right)
-        itv = {
-            "*": left.itv.mul,
-            "/": left.itv.div,
-            "%": left.itv.mod,
-            "<<": left.itv.shl,
-            ">>": left.itv.shr,
-            "&": left.itv.bitand,
-            "|": left.itv.bitor,
-            "^": left.itv.bitxor,
-        }[op](right.itv)
-        return AbsValue.of_interval(itv)
-
-    def _eval_additive(self, op: str, left: AbsValue, right: AbsValue) -> AbsValue:
-        """``+``/``-`` with pointer arithmetic on array blocks."""
-        delta = right.itv if op == "+" else right.itv.neg()
-        arrays: tuple[ArrayBlock, ...] = ()
-        ptsto: frozenset[AbsLoc] = frozenset()
-        if left.arrays and not delta.is_bottom():
-            arrays = tuple(blk.shift(delta) for blk in left.arrays)
-        elif left.arrays:
-            arrays = left.arrays
-        if op == "+" and right.arrays:
-            # int + ptr
-            d2 = left.itv
-            shifted = tuple(
-                blk.shift(d2) if not d2.is_bottom() else blk for blk in right.arrays
-            )
-            arrays = merge_blocks(arrays, shifted, ArrayBlock.join)
-        if left.ptsto:
-            ptsto = left.ptsto  # field-insensitive scalar pointer arithmetic
-        if op == "+" and right.ptsto:
-            ptsto = ptsto | right.ptsto
-        if op == "+":
-            itv = left.itv.add(right.itv)
-        else:
-            itv = left.itv.sub(right.itv)
-            if left.arrays and right.arrays:
-                # pointer difference: offsets' difference
-                diffs = ITV_BOT
-                for a in left.arrays:
-                    for b in right.arrays:
-                        if a.base == b.base:
-                            diffs = diffs.join(a.offset.sub(b.offset))
-                itv = itv.join(diffs)
-        return AbsValue(itv=itv, ptsto=ptsto, arrays=arrays)
-
-    def _eval_unop(self, expr: EUnOp) -> AbsValue:
-        v = self.eval(expr.operand)
-        if expr.op == "-":
-            return AbsValue.of_interval(v.itv.neg())
-        if expr.op == "+":
-            return AbsValue.of_interval(v.itv)
-        if expr.op == "!":
-            return AbsValue.of_interval(v.truthiness().lnot())
-        if expr.op == "~":
-            return AbsValue.of_interval(v.itv.bnot())
-        raise TypeError(f"unknown unary op {expr.op!r}")
-
-    # -- lvalue resolution -----------------------------------------------------------
+        return self.ctx._expr(expr)(self.state, self.log)
 
     def lval_locs(self, lval: Lval) -> set[AbsLoc]:
         """The abstract locations an lvalue denotes in the current state."""
-        if isinstance(lval, VarLv):
-            return {VarLoc(lval.name, lval.proc)}
-        if isinstance(lval, FieldLv):
-            bases = self.lval_locs(lval.base)
-            return {FieldLoc(b, lval.fieldname) for b in bases}
-        if isinstance(lval, DerefLv):
-            value = self.eval(lval.ptr)
-            targets = value.all_pointees()
-            targets = {t for t in targets if not isinstance(t, FuncLoc)}
-            if lval.fieldname is None:
-                return targets
-            return {FieldLoc(t, lval.fieldname) for t in targets}
-        if isinstance(lval, IndexLv):
-            base = self.eval(lval.base)
-            self.eval(lval.index)  # index is used (and checked elsewhere)
-            targets: set[AbsLoc] = {blk.base for blk in base.arrays}
-            targets.update(
-                t for t in base.ptsto if not isinstance(t, FuncLoc)
-            )
-            return targets
-        raise TypeError(f"unknown lvalue {lval!r}")
+        loc, locs_fn = self.ctx._lval(lval)
+        if loc is not None:
+            return {loc}
+        return locs_fn(self.state, self.log)  # type: ignore[misc]
 
 
 def transfer(
@@ -338,149 +375,348 @@ def transfer(
     Returns the output state, or None when the state is proven unreachable
     (a definitely-false assume). ``state`` is not mutated.
     """
+    return ctx._transfer_fn(node)(state, log)
+
+
+# -- expressions -----------------------------------------------------------------
+
+
+def _constant(value: AbsValue) -> ExprFn:
+    value = intern_value(value)
+
+    def constant(state: AbsState, log: AccessLog | None) -> AbsValue:
+        return value
+
+    return constant
+
+
+def _bool_value(itv: Interval) -> AbsValue:
+    """``AbsValue(itv)`` for a boolean interval, without building the
+    three values every comparison returns."""
+    if itv is ONE:
+        return _V_ONE
+    if itv is ZERO:
+        return _V_ZERO
+    if itv is BOOL:
+        return _V_BOOL
+    if itv is ITV_BOT:
+        return BOT
+    return AbsValue(itv)
+
+
+def _compile_expr(ctx: AnalysisContext, expr: Expr) -> ExprFn:
+    if isinstance(expr, ENum):
+        return _constant(AbsValue(Interval(expr.value, expr.value)))
+    if isinstance(expr, ELval):
+        return _compile_read(ctx, expr.lval)
+    if isinstance(expr, EAddrOf):
+        return _compile_addrof(ctx, expr.lval)
+    if isinstance(expr, EStrAddr):
+        block = ArrayBlock(
+            AllocLoc(f"str:{expr.site}"), ZERO, Interval.const(expr.length)
+        )
+        return _constant(AbsValue(arrays=(block,)))
+    if isinstance(expr, EBinOp):
+        return _compile_binop(ctx, expr)
+    if isinstance(expr, EUnOp):
+        return _compile_unop(ctx, expr)
+    if isinstance(expr, EUnknown):
+        return _constant(TOP_NUM)
+    raise TypeError(f"unknown expression {expr!r}")
+
+
+def _compile_read(ctx: AnalysisContext, lval: Lval) -> ExprFn:
+    loc, locs_fn = ctx._lval(lval)
+    if loc is not None:
+
+        def read(state: AbsState, log: AccessLog | None) -> AbsValue:
+            if log is not None:
+                log.used.add(loc)
+            return state.get(loc)
+
+        return read
+
+    def read_targets(state: AbsState, log: AccessLog | None) -> AbsValue:
+        out = BOT
+        for target in locs_fn(state, log):
+            if log is not None:
+                log.used.add(target)
+            out = out.join(state.get(target))
+        return out
+
+    return read_targets
+
+
+def _compile_addrof(ctx: AnalysisContext, lval: Lval) -> ExprFn:
+    if (
+        isinstance(lval, VarLv)
+        and lval.proc is None
+        and lval.name in ctx._defined_funcs
+    ):
+        return _constant(AbsValue(ptsto=frozenset({FuncLoc(lval.name)})))
+    loc, locs_fn = ctx._lval(lval)
+    if loc is not None:
+        return _constant(AbsValue(ptsto=frozenset({loc})))
+
+    def addrof(state: AbsState, log: AccessLog | None) -> AbsValue:
+        return AbsValue(ptsto=frozenset(locs_fn(state, log)))
+
+    return addrof
+
+
+def _compile_binop(ctx: AnalysisContext, expr: EBinOp) -> ExprFn:
+    left_fn = ctx._expr(expr.left)
+    right_fn = ctx._expr(expr.right)
+    op = expr.op
+    if op in CMP_OPS:
+        compare = CMP_OPS[op]
+
+        def cmp(state: AbsState, log: AccessLog | None) -> AbsValue:
+            left = left_fn(state, log)
+            right = right_fn(state, log)
+            if left.ptsto or left.arrays or right.ptsto or right.arrays:
+                return _V_BOOL
+            return _bool_value(compare(left.itv, right.itv))
+
+        return cmp
+    if op == "&&":
+
+        def land(state: AbsState, log: AccessLog | None) -> AbsValue:
+            lt = left_fn(state, log).truthiness()
+            rt = right_fn(state, log).truthiness()
+            if lt == ZERO or rt == ZERO:
+                return _V_ZERO
+            if lt == ONE and rt == ONE:
+                return _V_ONE
+            return _V_BOOL
+
+        return land
+    if op == "||":
+
+        def lor(state: AbsState, log: AccessLog | None) -> AbsValue:
+            lt = left_fn(state, log).truthiness()
+            rt = right_fn(state, log).truthiness()
+            if lt == ONE or rt == ONE:
+                return _V_ONE
+            if lt == ZERO and rt == ZERO:
+                return _V_ZERO
+            return _V_BOOL
+
+        return lor
+    if op in ("+", "-"):
+        numeric = Interval.add if op == "+" else Interval.sub
+
+        def additive(state: AbsState, log: AccessLog | None) -> AbsValue:
+            left = left_fn(state, log)
+            right = right_fn(state, log)
+            if left.ptsto or left.arrays or right.ptsto or right.arrays:
+                return _pointer_additive(op, left, right)
+            return AbsValue(numeric(left.itv, right.itv))
+
+        return additive
+    arith = _ARITH_OPS.get(op)
+    if arith is None:
+        raise TypeError(f"unknown binary op {op!r}")
+
+    def binop(state: AbsState, log: AccessLog | None) -> AbsValue:
+        return AbsValue(arith(left_fn(state, log).itv, right_fn(state, log).itv))
+
+    return binop
+
+
+def _pointer_additive(op: str, left: AbsValue, right: AbsValue) -> AbsValue:
+    """``+``/``-`` with pointer arithmetic on array blocks."""
+    delta = right.itv if op == "+" else right.itv.neg()
+    arrays: tuple[ArrayBlock, ...] = ()
+    ptsto: frozenset[AbsLoc] = frozenset()
+    if left.arrays and not delta.is_bottom():
+        arrays = tuple(blk.shift(delta) for blk in left.arrays)
+    elif left.arrays:
+        arrays = left.arrays
+    if op == "+" and right.arrays:
+        # int + ptr
+        d2 = left.itv
+        shifted = tuple(
+            blk.shift(d2) if not d2.is_bottom() else blk for blk in right.arrays
+        )
+        arrays = merge_blocks(arrays, shifted, ArrayBlock.join)
+    if left.ptsto:
+        ptsto = left.ptsto  # field-insensitive scalar pointer arithmetic
+    if op == "+" and right.ptsto:
+        ptsto = ptsto | right.ptsto
+    if op == "+":
+        itv = left.itv.add(right.itv)
+    else:
+        itv = left.itv.sub(right.itv)
+        if left.arrays and right.arrays:
+            # pointer difference: offsets' difference
+            diffs = ITV_BOT
+            for a in left.arrays:
+                for b in right.arrays:
+                    if a.base == b.base:
+                        diffs = diffs.join(a.offset.sub(b.offset))
+            itv = itv.join(diffs)
+    return AbsValue(itv=itv, ptsto=ptsto, arrays=arrays)
+
+
+def _compile_unop(ctx: AnalysisContext, expr: EUnOp) -> ExprFn:
+    operand = ctx._expr(expr.operand)
+    op = expr.op
+    if op == "!":
+
+        def lnot(state: AbsState, log: AccessLog | None) -> AbsValue:
+            return _bool_value(operand(state, log).truthiness().lnot())
+
+        return lnot
+    if op == "+":
+
+        def plus(state: AbsState, log: AccessLog | None) -> AbsValue:
+            return AbsValue(operand(state, log).itv)
+
+        return plus
+    if op == "-":
+        numeric = Interval.neg
+    elif op == "~":
+        numeric = Interval.bnot
+    else:
+        raise TypeError(f"unknown unary op {op!r}")
+
+    def unop(state: AbsState, log: AccessLog | None) -> AbsValue:
+        return AbsValue(numeric(operand(state, log).itv))
+
+    return unop
+
+
+# -- lvalues ---------------------------------------------------------------------
+
+
+def _compile_lval(ctx: AnalysisContext, lval: Lval) -> CompiledLval:
+    """A variable, or a field path over one, denotes one location known
+    now; a dereference or an index (anywhere in the access path) denotes
+    the targets its pointer value has in the state."""
+    if isinstance(lval, VarLv):
+        return VarLoc(lval.name, lval.proc), None
+    if isinstance(lval, FieldLv):
+        base_loc, base_fn = ctx._lval(lval.base)
+        name = lval.fieldname
+        if base_loc is not None:
+            return FieldLoc(base_loc, name), None
+
+        def fields(state: AbsState, log: AccessLog | None) -> set[AbsLoc]:
+            return {FieldLoc(b, name) for b in base_fn(state, log)}
+
+        return None, fields
+    if isinstance(lval, DerefLv):
+        ptr_fn = ctx._expr(lval.ptr)
+        name = lval.fieldname
+
+        def deref(state: AbsState, log: AccessLog | None) -> set[AbsLoc]:
+            value = ptr_fn(state, log)
+            targets = {t for t in value.ptsto if not isinstance(t, FuncLoc)}
+            for blk in value.arrays:
+                if not isinstance(blk.base, FuncLoc):
+                    targets.add(blk.base)
+            if name is None:
+                return targets
+            return {FieldLoc(t, name) for t in targets}
+
+        return None, deref
+    if isinstance(lval, IndexLv):
+        base_fn = ctx._expr(lval.base)
+        index_fn = ctx._expr(lval.index)
+
+        def element(state: AbsState, log: AccessLog | None) -> set[AbsLoc]:
+            value = base_fn(state, log)
+            if log is not None:
+                index_fn(state, log)  # the index is used (checked elsewhere)
+            targets = {blk.base for blk in value.arrays}
+            targets.update(t for t in value.ptsto if not isinstance(t, FuncLoc))
+            return targets
+
+        return None, element
+    raise TypeError(f"unknown lvalue {lval!r}")
+
+
+# -- commands --------------------------------------------------------------------
+
+
+def _unchanged(state: AbsState, log: AccessLog | None) -> AbsState:
+    return state
+
+
+def _compile_transfer(ctx: AnalysisContext, node: Node) -> TransferFn:
     cmd = node.cmd
     if isinstance(cmd, (CSkip, CEntry, CExit)):
-        return state
-    out = state.copy()
-    ev = Evaluator(ctx, state, log)
-
+        return _unchanged
     if isinstance(cmd, CSet):
-        value = ev.eval(cmd.expr)
-        locs = ev.lval_locs(cmd.lval)
-        _write(out, locs, value, log, ev, pointer_target=_state_dependent(cmd.lval))
-        return out
-
+        return _compile_set(ctx, cmd)
     if isinstance(cmd, CAlloc):
-        size = ev.eval(cmd.size)
-        base = AllocLoc(cmd.site)
-        block = ArrayBlock(base, Interval.const(0), size.itv)
-        locs = ev.lval_locs(cmd.lval)
-        _write(
-            out,
-            locs,
-            AbsValue.of_block(block),
-            log,
-            ev,
-            pointer_target=_state_dependent(cmd.lval),
-        )
-        # Blocks are zero-initialized (calloc model, matching C globals and
-        # the concrete interpreter): the summary element must include 0 or
-        # reads-before-writes would be under-approximated.
-        out.weak_set(base, AbsValue.of_const(0))
-        if log is not None:
-            log.define({base})
-            log.use(base)
-        return out
-
+        return _compile_alloc(ctx, cmd)
     if isinstance(cmd, CAssume):
-        return _assume(out, cmd, ctx, log)
-
+        return _compile_assume(ctx, cmd)
     if isinstance(cmd, CCall):
-        callees = ctx.resolve_callees(node, state, log)
-        for callee in callees:
-            info = ctx.program.proc_infos.get(callee)
-            if info is None:
-                continue
-            for i, param in enumerate(info.params):
-                loc = VarLoc(param, callee)
-                value = (
-                    ev.eval(cmd.args[i]) if i < len(cmd.args) else AbsValue.top()
-                )
-                _write(out, {loc}, value, log, ev)
-        if not callees:
-            # External call: arguments are still evaluated (their reads are
-            # real uses); the call itself has no modelled side effect.
-            for arg in cmd.args:
-                ev.eval(arg)
-        return out
-
+        return _compile_call(ctx, node, cmd)
     if isinstance(cmd, CRetBind):
-        call_node = ctx.program.node(cmd.call_node)
-        callees = ctx.resolve_callees(call_node, state, log)
-        if cmd.lval is None:
-            # Still a use of the return locations (they flow to the caller).
-            for callee in callees:
-                ev._read(RetLoc(callee))
-            return out
-        if callees:
-            value = AbsValue.bottom()
-            for callee in callees:
-                value = value.join(ev._read(RetLoc(callee)))
-        else:
-            value = AbsValue.top()  # unknown external procedure result
-        locs = ev.lval_locs(cmd.lval)
-        _write(out, locs, value, log, ev)
-        return out
-
+        return _compile_retbind(ctx, cmd)
     if isinstance(cmd, CReturn):
-        loc = RetLoc(node.proc)
-        value = ev.eval(cmd.value) if cmd.value is not None else AbsValue.bottom()
-        # Multiple returns join along control flow, so each return may write
-        # its own value strongly — but exits of recursive procedures see
-        # interleaved states, so the weak flavour is the safe default.
-        _write(out, {loc}, value, log, ev, weak=True)
-        return out
-
+        return _compile_return(ctx, node, cmd)
     raise TypeError(f"unknown command {cmd!r}")
 
 
-def _state_dependent(lval: Lval) -> bool:
-    """True when the lvalue's target set depends on the abstract state
-    (pointer dereference or array indexing somewhere in the access path)."""
-    if isinstance(lval, (DerefLv, IndexLv)):
-        return True
-    if isinstance(lval, FieldLv):
-        return _state_dependent(lval.base)
-    return False
+def _compile_set(ctx: AnalysisContext, cmd: CSet) -> TransferFn:
+    value_fn = ctx._expr(cmd.expr)
+    loc, locs_fn = ctx._lval(cmd.lval)
+    if loc is not None:
+        write = ctx._writer(loc, False)
+
+        def assign(state: AbsState, log: AccessLog | None) -> AbsState:
+            value = value_fn(state, log)
+            out = state.copy()
+            write(out, value, log)
+            return out
+
+        return assign
+    write_through = ctx._write_through
+
+    def assign_through(state: AbsState, log: AccessLog | None) -> AbsState:
+        value = value_fn(state, log)
+        locs = locs_fn(state, log)
+        out = state.copy()
+        write_through(out, locs, value, log)
+        return out
+
+    return assign_through
 
 
-def _write(
-    state: AbsState,
-    locs: set[AbsLoc],
-    value: AbsValue,
-    log: AccessLog | None,
-    ev: Evaluator,
-    weak: bool = False,
-    pointer_target: bool = False,
-) -> None:
-    """Strong/weak update with Definition 1/2-faithful logging.
+def _compile_alloc(ctx: AnalysisContext, cmd: CAlloc) -> TransferFn:
+    size_fn = ctx._expr(cmd.size)
+    base = AllocLoc(cmd.site)
+    zero = _V_ZERO
+    loc, locs_fn = ctx._lval(cmd.lval)
+    write = ctx._writer(loc, False) if loc is not None else None
+    write_through = ctx._write_through
 
-    Weakly updated targets are also *used* (their old value flows into the
-    new). Writes through pointers (``pointer_target``) log their targets as
-    used even when the update is strong — the paper's Û for ``*x := e``
-    always contains ``ŝ_c(x).P̂`` — because the pre-analysis target set may
-    shrink to a pass-through at analysis time. Only strong writes to
-    statically-known locations seed the must-def analysis.
-    """
-    locs = set(locs)
-    if log is not None:
-        log.define(locs)
-    is_weak = (
-        weak
-        or len(locs) != 1
-        or any(ev.ctx.is_summary_loc(l) for l in locs)
-    )
-    if is_weak or pointer_target:
+    def alloc(state: AbsState, log: AccessLog | None) -> AbsState:
+        size = size_fn(state, log)
+        value = AbsValue(arrays=(ArrayBlock(base, ZERO, size.itv),))
+        out = state.copy()
+        if write is not None:
+            write(out, value, log)
+        else:
+            write_through(out, locs_fn(state, log), value, log)
+        # Blocks are zero-initialized (calloc model, matching C globals and
+        # the concrete interpreter): the summary element must include 0 or
+        # reads-before-writes would be under-approximated.
+        out.weak_set(base, zero)
         if log is not None:
-            for loc in locs:
-                log.use(loc)
-    if is_weak:
-        for loc in locs:
-            state.weak_set(loc, value)
-    else:
-        (loc,) = locs
-        if log is not None and not pointer_target:
-            log.strong_defined.add(loc)
-        state.set(loc, value)
+            log.defined.add(base)
+            log.used.add(base)
+        return out
+
+    return alloc
 
 
-def _assume(
-    state: AbsState,
-    cmd: CAssume,
-    ctx: AnalysisContext,
-    log: AccessLog | None,
-) -> AbsState | None:
-    ev = Evaluator(ctx, state, log)
+def _compile_assume(ctx: AnalysisContext, cmd: CAssume) -> TransferFn:
     cond = cmd.cond
     positive = cmd.positive
     # Unwrap double negations introduced by source-level `!`.
@@ -488,66 +724,234 @@ def _assume(
         cond = cond.operand
         positive = not positive
 
-    if ctx.strict:
-        truth = ev.eval(cond).truthiness()
-        if truth.is_bottom():
-            return None
-        if positive and truth == ZERO:
-            return None
-        if not positive and truth == ONE:
-            return None
-
     if isinstance(cond, EBinOp) and cond.op in _NEGATED:
         op = cond.op if positive else _NEGATED[cond.op]
-        _refine_cmp(state, ctx, cond.left, op, cond.right, log)
-        return state
-    # Truthiness conditions: assume(e) refines e != 0; assume(!e) refines == 0.
-    op = "!=" if positive else "=="
-    _refine_cmp(state, ctx, cond, op, ENum(0), log)
-    return state
+        refine = _compile_refine(ctx, cond.left, op, cond.right)
+    else:
+        # Truthiness conditions: assume(e) refines e != 0; assume(!e) == 0.
+        refine = _compile_refine(ctx, cond, "!=" if positive else "==", ENum(0))
+
+    if not ctx.strict:
+
+        def assume(state: AbsState, log: AccessLog | None) -> AbsState:
+            out = state.copy()
+            refine(out, log)
+            return out
+
+        return assume
+
+    cond_fn = ctx._expr(cond)
+    dead = ZERO if positive else ONE
+
+    def assume_strict(state: AbsState, log: AccessLog | None) -> AbsState | None:
+        truth = cond_fn(state, log).truthiness()
+        if truth.empty or truth == dead:
+            return None
+        out = state.copy()
+        refine(out, log)
+        return out
+
+    return assume_strict
 
 
-def _refine_cmp(
-    state: AbsState,
-    ctx: AnalysisContext,
-    left: Expr,
-    op: str,
-    right: Expr,
-    log: AccessLog | None,
-) -> None:
-    """Refine the state with ``left op right``: when either side is a
-    single-location lvalue read, its interval is filtered (the paper's
+def _compile_refine(
+    ctx: AnalysisContext, left: Expr, op: str, right: Expr
+) -> Callable[[AbsState, "AccessLog | None"], None]:
+    """Refine a state in place with ``left op right``: when either side is
+    a single-location lvalue read, its interval is filtered (the paper's
     ``{x < n}`` semantics — note the refined location is both used *and*
-    defined)."""
-    ev = Evaluator(ctx, state, log)
-    right_v = ev.eval(right)
-    _filter_side(state, ctx, left, op, right_v, log)
-    left_v = ev.eval(left)
-    _filter_side(state, ctx, right, _SWAPPED[op], left_v, log)
+    defined). The right side is evaluated before the left is filtered and
+    the left after, as both read the state being refined."""
+    left_fn = ctx._expr(left)
+    right_fn = ctx._expr(right)
+    filter_left = _compile_filter(ctx, left, op)
+    filter_right = _compile_filter(ctx, right, _SWAPPED[op])
+
+    def refine(state: AbsState, log: AccessLog | None) -> None:
+        if filter_left is not None:
+            filter_left(state, right_fn(state, log), log)
+        elif log is not None:
+            right_fn(state, log)
+        if filter_right is not None:
+            filter_right(state, left_fn(state, log), log)
+        elif log is not None:
+            left_fn(state, log)
+
+    return refine
 
 
-def _filter_side(
-    state: AbsState,
-    ctx: AnalysisContext,
-    side: Expr,
-    op: str,
-    other: AbsValue,
-    log: AccessLog | None,
-) -> None:
+def _compile_filter(ctx: AnalysisContext, side: Expr, op: str):
+    """``(state, other, log)`` refining ``side`` by ``side op other``, or
+    None when ``side`` can never be refined (not an lvalue read, or a
+    static summary cell: refinement is a strong write)."""
     if not isinstance(side, ELval):
-        return
-    ev = Evaluator(ctx, state, log)
-    locs = ev.lval_locs(side.lval)
-    if len(locs) != 1:
-        return
-    (loc,) = locs
-    if ctx.is_summary_loc(loc):
-        return  # refinement is a strong write; unsound on summaries
-    old = state.get(loc)
-    if log is not None:
-        log.use(loc)
-        log.define({loc})
-    if other.has_pointers():
-        return  # comparisons against pointers don't refine numerics
-    new_itv = old.itv.filter(op, other.itv)
-    state.set(loc, AbsValue(itv=new_itv, ptsto=old.ptsto, arrays=old.arrays))
+        return None
+    refine = FILTER_OPS[op]
+    loc, locs_fn = ctx._lval(side.lval)
+
+    def narrow(state: AbsState, loc: AbsLoc, other: AbsValue, log) -> None:
+        old = state.get(loc)
+        if log is not None:
+            log.used.add(loc)
+            log.defined.add(loc)
+        if other.ptsto or other.arrays:
+            return  # comparisons against pointers don't refine numerics
+        state.set(loc, AbsValue(refine(old.itv, other.itv), old.ptsto, old.arrays))
+
+    if loc is not None:
+        if ctx.is_summary_loc(loc):
+            return None
+        static = loc
+
+        def filter_var(state: AbsState, other: AbsValue, log) -> None:
+            narrow(state, static, other, log)
+
+        return filter_var
+    is_summary = ctx._is_summary
+
+    def filter_target(state: AbsState, other: AbsValue, log) -> None:
+        locs = locs_fn(state, log)
+        if len(locs) != 1:
+            return
+        (target,) = locs
+        if not is_summary(target):
+            narrow(state, target, other, log)
+
+    return filter_target
+
+
+def _compile_callees(ctx: AnalysisContext, node: Node) -> Callees:
+    cmd = node.cmd
+    assert isinstance(cmd, CCall)
+    if ctx.site_callees is not None:
+        return ctx.site_callees.get(node.nid, ()), None
+    if cmd.static_callee is not None and cmd.static_callee in ctx._defined_funcs:
+        return (cmd.static_callee,), None
+    callee_fn = ctx._expr(cmd.callee)
+    defined = ctx._defined_funcs
+
+    def resolve(state: AbsState, log: AccessLog | None) -> tuple[str, ...]:
+        value = callee_fn(state, log)
+        return tuple(
+            sorted(
+                loc.name
+                for loc in value.ptsto
+                if isinstance(loc, FuncLoc) and loc.name in defined
+            )
+        )
+
+    return None, resolve
+
+
+def _binding_plan(
+    proc_infos: dict,
+    writer: Callable[[AbsLoc, bool], WriteFn],
+    callees: tuple[str, ...],
+) -> tuple[tuple[WriteFn, int], ...]:
+    """(write to the formal, argument index) for every parameter of every
+    callee with a body; an index past the actuals binds ⊤."""
+    plan = []
+    for callee in callees:
+        info = proc_infos.get(callee)
+        if info is None:
+            continue
+        for i, param in enumerate(info.params):
+            plan.append((writer(VarLoc(param, callee), False), i))
+    return tuple(plan)
+
+
+def _compile_call(ctx: AnalysisContext, node: Node, cmd: CCall) -> TransferFn:
+    fixed, resolve = _compile_callees(ctx, node)
+    arg_fns = tuple(ctx._expr(arg) for arg in cmd.args)
+    nargs = len(arg_fns)
+    proc_infos, writer = ctx.program.proc_infos, ctx._writer
+    plans: dict[tuple[str, ...], tuple[tuple[WriteFn, int], ...]] = {}
+    if fixed is not None:
+        plans[fixed] = _binding_plan(proc_infos, writer, fixed)
+
+    def call(state: AbsState, log: AccessLog | None) -> AbsState:
+        callees = fixed if fixed is not None else resolve(state, log)
+        out = state.copy()
+        if not callees:
+            # External call: arguments are still evaluated (their reads are
+            # real uses); the call itself has no modelled side effect.
+            if log is not None:
+                for arg_fn in arg_fns:
+                    arg_fn(state, log)
+            return out
+        plan = plans.get(callees)
+        if plan is None:
+            plan = plans[callees] = _binding_plan(proc_infos, writer, callees)
+        values: list[AbsValue | None] = [None] * nargs
+        for write, i in plan:
+            if i < nargs:
+                value = values[i]
+                if value is None:
+                    value = values[i] = arg_fns[i](state, log)
+            else:
+                value = TOP_NUM
+            write(out, value, log)
+        return out
+
+    return call
+
+
+def _compile_retbind(ctx: AnalysisContext, cmd: CRetBind) -> TransferFn:
+    fixed, resolve = _compile_callees(ctx, ctx.program.node(cmd.call_node))
+    fixed_rets = (
+        tuple(RetLoc(callee) for callee in fixed) if fixed is not None else None
+    )
+
+    def ret_locs(state: AbsState, log: AccessLog | None) -> tuple[AbsLoc, ...]:
+        if fixed_rets is not None:
+            return fixed_rets
+        return tuple(RetLoc(callee) for callee in resolve(state, log))
+
+    if cmd.lval is None:
+
+        def discard(state: AbsState, log: AccessLog | None) -> AbsState:
+            # Still a use of the return locations (they flow to the caller).
+            if log is not None:
+                log.used.update(ret_locs(state, log))
+            return state.copy()
+
+        return discard
+
+    loc, locs_fn = ctx._lval(cmd.lval)
+    write = ctx._writer(loc, False) if loc is not None else None
+    write_targets = ctx._write_targets
+
+    def bind(state: AbsState, log: AccessLog | None) -> AbsState:
+        rets = ret_locs(state, log)
+        if rets:
+            value = BOT
+            for ret in rets:
+                if log is not None:
+                    log.used.add(ret)
+                value = value.join(state.get(ret))
+        else:
+            value = TOP_NUM  # unknown external procedure result
+        out = state.copy()
+        if write is not None:
+            write(out, value, log)
+        else:
+            write_targets(out, locs_fn(state, log), value, log)
+        return out
+
+    return bind
+
+
+def _compile_return(ctx: AnalysisContext, node: Node, cmd: CReturn) -> TransferFn:
+    # Multiple returns join along control flow, so each return may write
+    # its own value strongly — but exits of recursive procedures see
+    # interleaved states, so the weak flavour is the safe default.
+    write = ctx._writer(RetLoc(node.proc), True)
+    value_fn = ctx._expr(cmd.value) if cmd.value is not None else _constant(BOT)
+
+    def ret(state: AbsState, log: AccessLog | None) -> AbsState:
+        value = value_fn(state, log)
+        out = state.copy()
+        write(out, value, log)
+        return out
+
+    return ret

@@ -9,24 +9,83 @@ The module provides the full transfer-function kit: lattice operations,
 widening/narrowing, sound arithmetic (+, -, *, /, %, <<, >>, bitops are
 over-approximated where exact bounds are hard), comparisons returning
 boolean intervals, and condition filters used by ``assume``.
+
+Intervals are *canonical at construction*: the constructor looks its
+``(lo, hi, empty)`` up in a bounded unique table and hands back the
+instance already there, so equal intervals made since the table last
+filled are one object. The table is emptied when it reaches
+:data:`_UNIQUE_LIMIT` entries (keeping the module constants), which only
+loses sharing: equality short-circuits on identity and falls back to
+comparing the three fields, and the hash is ``hash((lo, hi, empty))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+
+#: (lo, hi, empty) -> the canonical interval; bounded, see the docstring
+_UNIQUE: dict[tuple, "Interval"] = {}
+_UNIQUE_LIMIT = 1 << 16
+#: the entries a clear keeps: the module constants stay canonical
+_PINNED: dict[tuple, "Interval"] = {}
 
 
-@dataclass(frozen=True)
 class Interval:
     """A (possibly empty/unbounded) integer interval.
 
     ``lo=None`` means -∞ and ``hi=None`` means +∞. ``empty=True`` is ⊥ —
-    bounds are meaningless then.
+    bounds are meaningless then. Immutable; pickling and copying go back
+    through the constructor.
     """
 
-    lo: int | None = None
-    hi: int | None = None
-    empty: bool = False
+    __slots__ = ("lo", "hi", "empty")
+
+    lo: int | None
+    hi: int | None
+    empty: bool
+
+    def __new__(
+        cls, lo: int | None = None, hi: int | None = None, empty: bool = False
+    ) -> "Interval":
+        key = (lo, hi, empty)
+        found = _UNIQUE.get(key)
+        if found is not None:
+            return found
+        if len(_UNIQUE) >= _UNIQUE_LIMIT:
+            _UNIQUE.clear()
+            _UNIQUE.update(_PINNED)
+        itv = object.__new__(cls)
+        _set_lo(itv, lo)
+        _set_hi(itv, hi)
+        _set_empty(itv, empty)
+        _UNIQUE[key] = itv
+        return itv
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Interval, (self.lo, self.hi, self.empty))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (
+            self.lo == other.lo  # type: ignore[attr-defined]
+            and self.hi == other.hi  # type: ignore[attr-defined]
+            and self.empty == other.empty  # type: ignore[attr-defined]
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.empty))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r}, empty={self.empty!r})"
 
     # -- constructors -----------------------------------------------------------
 
@@ -293,28 +352,7 @@ class Interval:
     def cmp(self, op: str, other: "Interval") -> "Interval":
         """Evaluate ``self op other`` to a boolean interval ([0,0], [1,1],
         or [0,1] when undecided)."""
-        if self.empty or other.empty:
-            return BOT
-        lt = self._always_lt(other)
-        gt = other._always_lt(self)
-        le = self._always_le(other)
-        ge = other._always_le(self)
-        eq = self.is_const() and other.is_const() and self.lo == other.lo
-        disjoint = self.meet(other).is_bottom()
-        table = {
-            "<": (lt, ge),
-            ">": (gt, le),
-            "<=": (le, gt),
-            ">=": (ge, lt),
-            "==": (eq, disjoint),
-            "!=": (disjoint, eq),
-        }
-        always, never = table[op]
-        if always:
-            return ONE
-        if never:
-            return ZERO
-        return BOOL
+        return CMP_OPS[op](self, other)
 
     def _always_lt(self, other: "Interval") -> bool:
         return (
@@ -330,33 +368,10 @@ class Interval:
 
     def filter(self, op: str, other: "Interval") -> "Interval":
         """Refine ``self`` assuming ``self op other`` holds."""
-        if self.empty or other.empty:
-            return BOT
-        if op == "<":
-            if other.hi is None:
-                return self
-            return self.meet(Interval(None, other.hi - 1))
-        if op == "<=":
-            return self.meet(Interval(None, other.hi))
-        if op == ">":
-            if other.lo is None:
-                return self
-            return self.meet(Interval(other.lo + 1, None))
-        if op == ">=":
-            return self.meet(Interval(other.lo, None))
-        if op == "==":
-            return self.meet(other)
-        if op == "!=":
-            if other.is_const() and other.lo is not None:
-                n = other.lo
-                if self.lo == n and self.hi == n:
-                    return BOT
-                if self.lo == n:
-                    return Interval(n + 1, self.hi)
-                if self.hi == n:
-                    return Interval(self.lo, n - 1)
-            return self
-        return self
+        refine = FILTER_OPS.get(op)
+        if refine is None:
+            return BOT if self.empty or other.empty else self
+        return refine(self, other)
 
     # -- misc ---------------------------------------------------------------------
 
@@ -366,6 +381,130 @@ class Interval:
         lo = "-inf" if self.lo is None else str(self.lo)
         hi = "+inf" if self.hi is None else str(self.hi)
         return f"[{lo}, {hi}]"
+
+
+# -- comparisons and filters, one function per operator ---------------------
+#
+# ``cmp`` answers ONE when the relation always holds, else ZERO when it
+# never does, else BOOL; a filter meets ``a`` with the values that can
+# satisfy the relation against ``b``. Callers that know the operator in
+# advance (compiled transfer functions) look the function up once.
+
+
+def _cmp_lt(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    if a._always_lt(b):
+        return ONE
+    if b._always_le(a):
+        return ZERO
+    return BOOL
+
+
+def _cmp_gt(a: Interval, b: Interval) -> Interval:
+    return _cmp_lt(b, a)
+
+
+def _cmp_le(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    if a._always_le(b):
+        return ONE
+    if b._always_lt(a):
+        return ZERO
+    return BOOL
+
+
+def _cmp_ge(a: Interval, b: Interval) -> Interval:
+    return _cmp_le(b, a)
+
+
+def _cmp_eq(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    if a.is_const() and b.is_const() and a.lo == b.lo:
+        return ONE
+    if a.meet(b).empty:
+        return ZERO
+    return BOOL
+
+
+def _cmp_ne(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    if a.meet(b).empty:
+        return ONE
+    if a.is_const() and b.is_const() and a.lo == b.lo:
+        return ZERO
+    return BOOL
+
+
+CMP_OPS = {
+    "<": _cmp_lt,
+    ">": _cmp_gt,
+    "<=": _cmp_le,
+    ">=": _cmp_ge,
+    "==": _cmp_eq,
+    "!=": _cmp_ne,
+}
+
+
+def _filter_lt(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    if b.hi is None:
+        return a
+    return a.meet(Interval(None, b.hi - 1))
+
+
+def _filter_le(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    return a.meet(Interval(None, b.hi))
+
+
+def _filter_gt(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    if b.lo is None:
+        return a
+    return a.meet(Interval(b.lo + 1, None))
+
+
+def _filter_ge(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    return a.meet(Interval(b.lo, None))
+
+
+def _filter_eq(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    return a.meet(b)
+
+
+def _filter_ne(a: Interval, b: Interval) -> Interval:
+    if a.empty or b.empty:
+        return BOT
+    if b.is_const() and b.lo is not None:
+        n = b.lo
+        if a.lo == n and a.hi == n:
+            return BOT
+        if a.lo == n:
+            return Interval(n + 1, a.hi)
+        if a.hi == n:
+            return Interval(a.lo, n - 1)
+    return a
+
+
+FILTER_OPS = {
+    "<": _filter_lt,
+    "<=": _filter_le,
+    ">": _filter_gt,
+    ">=": _filter_ge,
+    "==": _filter_eq,
+    "!=": _filter_ne,
+}
 
 
 def _div_nonzero(num: Interval, den: Interval) -> Interval:
@@ -432,8 +571,15 @@ def _threshold_below(bound: int | None, thresholds: tuple[int, ...] | None) -> i
     return best
 
 
+# The slot descriptors' setters: they bypass the ``__setattr__`` that makes
+# intervals immutable, so only the constructor may use them.
+_set_lo = Interval.lo.__set__  # type: ignore[attr-defined]
+_set_hi = Interval.hi.__set__  # type: ignore[attr-defined]
+_set_empty = Interval.empty.__set__  # type: ignore[attr-defined]
+
 BOT = Interval(empty=True)
 TOP = Interval(None, None)
 ZERO = Interval(0, 0)
 ONE = Interval(1, 1)
 BOOL = Interval(0, 1)
+_PINNED.update(_UNIQUE)  # exactly the five constants above

@@ -91,7 +91,6 @@ _INTERN_LIMIT = 1 << 16
 _MEMO_LIMIT = 1 << 15
 
 _interned: dict["AbsValue", "AbsValue"] = {}
-_interned_itvs: dict[Interval, Interval] = {}
 _interned_ptsto: dict[frozenset, frozenset] = {}
 #: (id(a), id(b)[, thresholds]) → (a, b, result); the stored operands keep
 #: the keyed objects alive, so an id can never be reused while its entry
@@ -105,7 +104,6 @@ _memo_misses = 0
 
 def clear_intern_tables() -> None:
     _interned.clear()
-    _interned_itvs.clear()
     _interned_ptsto.clear()
     _clear_memos()
 
@@ -129,24 +127,15 @@ def cache_stats() -> tuple[int, int]:
 
 def intern_value(value: "AbsValue") -> "AbsValue":
     """The canonical instance structurally equal to ``value`` — after this,
-    equality of interned values is pointer equality. Components (interval,
-    points-to set) are canonicalized too, so even distinct values share
-    their equal parts."""
+    equality of interned values is pointer equality. The points-to set is
+    canonicalized too (intervals are canonical from construction), so even
+    distinct values share their equal parts."""
     found = _interned.get(value)
     if found is not None:
         return found
     if len(_interned) >= _INTERN_LIMIT:
         _interned.clear()
         _clear_memos()
-    itv = value.itv
-    cached_itv = _interned_itvs.get(itv)
-    if cached_itv is None:
-        if len(_interned_itvs) >= _INTERN_LIMIT:
-            _interned_itvs.clear()
-            _clear_memos()
-        _interned_itvs[itv] = itv
-    elif cached_itv is not itv:
-        itv = cached_itv
     ptsto = value.ptsto
     if ptsto:
         cached_pts = _interned_ptsto.get(ptsto)
@@ -157,8 +146,8 @@ def intern_value(value: "AbsValue") -> "AbsValue":
             _interned_ptsto[ptsto] = ptsto
         elif cached_pts is not ptsto:
             ptsto = cached_pts
-    if itv is not value.itv or ptsto is not value.ptsto:
-        value = AbsValue(itv, ptsto, value.arrays)
+    if ptsto is not value.ptsto:
+        value = AbsValue(value.itv, ptsto, value.arrays)
     _interned[value] = value
     return value
 

@@ -12,6 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def c_div(a: int, b: int) -> int:
+    """C integer division of ``a`` by a nonzero ``b``: the quotient
+    truncates toward zero (C99 6.5.5), where Python's ``//`` floors."""
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def c_mod(a: int, b: int) -> int:
+    """C remainder for a nonzero ``b``: ``a == c_div(a, b) * b + c_mod(a, b)``,
+    so it takes the sign of ``a``."""
+    return a - c_div(a, b) * b
+
+
 class CType:
     """Base class for C types. Instances are immutable and comparable."""
 

@@ -137,7 +137,7 @@ _ESCAPES = {
 }
 
 #: GNU linemarker / ``#line`` directive: ``# 12 "file"`` or ``#line 12``.
-_LINEMARKER = re.compile(r"#\s*(?:line\s+)?(\d+)(?:\s+\"([^\"]*)\")?")
+_LINEMARKER = re.compile(r"#\s*(?:line\s+)?([0-9]+)(?:\s+\"([^\"]*)\")?")
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,8 @@ def _token(
 
 
 def _number_value(body: str) -> object:
-    """The value of a number without its suffix (``None``: bad octal)."""
+    """The value of a number without its suffix (``None``: bad octal,
+    :data:`_TOO_LARGE`: more decimal digits than ``int()`` converts)."""
     if body[:2] in ("0x", "0X"):
         return int(body, 16)
     if "." in body or "e" in body or "E" in body:
@@ -202,7 +203,16 @@ def _number_value(body: str) -> object:
             return int(body, 8)
         except ValueError:
             return None
-    return int(body)
+    try:
+        return int(body)
+    except ValueError:
+        # CPython's limit on decimal-string conversions (4300 digits by
+        # default); the body is all ASCII digits, so nothing else raises.
+        return _TOO_LARGE
+
+
+#: :func:`_number_value` of a decimal literal too long to convert
+_TOO_LARGE = object()
 
 
 class Lexer:
@@ -329,6 +339,10 @@ class Lexer:
                     if value is None:
                         pos = Position(line, column, filename)
                         self._error(f"invalid octal literal {body!r}", pos)
+                        value = 0
+                    elif value is _TOO_LARGE:
+                        pos = Position(line, column, filename)
+                        self._error("integer literal too large", pos)
                         value = 0
                 append(_token(TokenKind.NUMBER, text, line, column, filename, value))
             i = end

@@ -61,6 +61,8 @@ from repro.frontend.ctypes import (
     PointerType,
     StructLayout,
     StructType,
+    c_div,
+    c_mod,
 )
 from repro.frontend.errors import DiagnosticBag, ParseError, Position
 from repro.frontend.lexer import _LINEMARKER, Token, TokenKind, tokenize
@@ -932,8 +934,8 @@ _FOLD_BINARY: dict[str, Callable[[int, int], int | None]] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "/": lambda a, b: a // b if b else None,
-    "%": lambda a, b: a % b if b else None,
+    "/": lambda a, b: c_div(a, b) if b else None,
+    "%": lambda a, b: c_mod(a, b) if b else None,
     "<<": lambda a, b: a << b if 0 <= b <= _MAX_SHIFT else None,
     ">>": lambda a, b: a >> b if 0 <= b <= _MAX_SHIFT else None,
     "&": operator.and_,
@@ -947,6 +949,7 @@ def fold_const(expr: A.Expr, env: dict[str, int] | None = None) -> int | None:
 
     ``None`` means "not a foldable integer constant": a free name, an
     unsupported operator, division by zero or a shift count outside 0..63.
+    ``/`` and ``%`` truncate toward zero, as in C.
     """
     env = env or {}
     if isinstance(expr, A.IntLit):

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.domains.absloc import AbsLoc, AllocLoc, FieldLoc, FuncLoc, RetLoc, VarLoc
+from repro.frontend.ctypes import c_div, c_mod
 from repro.ir.cfg import Node
 from repro.ir.commands import (
     CAlloc,
@@ -443,14 +444,13 @@ def _is_string_content_marker(cmd: CSet) -> bool:
 def _c_div(a: int, b: int) -> int:
     if b == 0:
         raise InterpError("division by zero")
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
+    return c_div(a, b)
 
 
 def _c_mod(a: int, b: int) -> int:
     if b == 0:
         raise InterpError("modulo by zero")
-    return a - _c_div(a, b) * b
+    return c_mod(a, b)
 
 
 def run_program(program: Program, fuel: int = 100_000) -> Value | None:

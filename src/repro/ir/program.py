@@ -60,6 +60,11 @@ class Program:
     #: recovery, mapped to the soundness note explaining how calls to them
     #: are modelled (an explicit havoc stub: globals ⊤, return ⊤)
     quarantined: dict[str, str] = field(default_factory=dict)
+    #: closures compiled from this program's expressions and lvalues by
+    #: :mod:`repro.analysis.semantics`, keyed by the (structural) term:
+    #: every analysis context of the program shares them, and they die
+    #: with the program
+    compiled_terms: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- node access -----------------------------------------------------------
 

@@ -1,5 +1,9 @@
 """Interval domain: unit tests + hypothesis lattice/soundness properties."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +141,31 @@ class TestComparisons:
 
     def test_neq_disjoint(self):
         assert itv(0, 1).cmp("!=", itv(5, 6)) == ONE
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals(), intervals())
+    def test_per_operator_functions_match_the_relation_table(self, a, b):
+        """``cmp`` looks one function up per operator; each must answer
+        as the table of always/never relations it replaced."""
+        if a.is_bottom() or b.is_bottom():
+            assert all(a.cmp(op, b) is BOT for op in ("<", ">", "<=", ">=", "==", "!="))
+            return
+        lt = a.hi is not None and b.lo is not None and a.hi < b.lo
+        gt = b.hi is not None and a.lo is not None and b.hi < a.lo
+        le = a.hi is not None and b.lo is not None and a.hi <= b.lo
+        ge = b.hi is not None and a.lo is not None and b.hi <= a.lo
+        eq = a.is_const() and b.is_const() and a.lo == b.lo
+        disjoint = a.meet(b).is_bottom()
+        table = {
+            "<": (lt, ge),
+            ">": (gt, le),
+            "<=": (le, gt),
+            ">=": (ge, lt),
+            "==": (eq, disjoint),
+            "!=": (disjoint, eq),
+        }
+        for op, (always, never) in table.items():
+            assert a.cmp(op, b) is (ONE if always else ZERO if never else BOOL)
 
 
 class TestFilters:
@@ -283,3 +312,55 @@ class TestArithmeticSoundness:
     @settings(max_examples=60)
     def test_filter_refines(self, a, b):
         assert a.filter("<", b).leq(a)
+
+
+class TestCanonicalIntervals:
+    """The constructor hands back the one interval in its bounded unique
+    table; equality, hash, repr, pickling and immutability are those of
+    the frozen dataclass it replaced."""
+
+    def test_constructors_return_canonical_instances(self):
+        assert Interval(1, 5) is Interval(1, 5) is Interval(lo=1, hi=5)
+        assert Interval.const(0) is ZERO and Interval.range(0, 1) is BOOL
+        assert Interval(empty=True) is BOT and Interval() is TOP
+        assert itv(0, 3).join(itv(2, 8)) is Interval(0, 8)
+
+    def test_equality_hash_and_repr_are_structural(self):
+        a = Interval(-3, None)
+        assert hash(a) == hash((-3, None, False))
+        assert hash(BOT) == hash((None, None, True))
+        assert repr(a) == "Interval(lo=-3, hi=None, empty=False)"
+        assert a == Interval(-3, None) and a != Interval(-3, 4) and a != BOT
+        assert (a == (-3, None, False)) is False
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_copy_give_back_the_same_object(self, protocol):
+        for obj in (BOT, TOP, ZERO, Interval(-7, 9), Interval(None, 4)):
+            assert pickle.loads(pickle.dumps(obj, protocol)) is obj
+            assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+
+    def test_fields_are_immutable(self):
+        with pytest.raises(FrozenInstanceError):
+            ONE.lo = 2
+        with pytest.raises(FrozenInstanceError):
+            del ONE.hi
+        assert ONE == Interval(1, 1)
+
+    def test_full_table_clears_and_equality_stays_structural(self):
+        import repro.domains.interval as I
+
+        old_limit = I._UNIQUE_LIMIT
+        I._UNIQUE_LIMIT = len(I._PINNED) + 8
+        try:
+            early = Interval(1000, 2000)
+            for i in range(64):
+                Interval(i, i + 1)
+            assert len(I._UNIQUE) <= I._UNIQUE_LIMIT
+            late = Interval(1000, 2000)
+            # the clear dropped ``early``: a new, equal object replaces it
+            assert late is not early
+            assert late == early and hash(late) == hash(early)
+            # the module constants survive every clear
+            assert Interval(0, 1) is BOOL and Interval(empty=True) is BOT
+        finally:
+            I._UNIQUE_LIMIT = old_limit

@@ -203,6 +203,33 @@ class TestAsciiDigits:
                 tokenize(f'"\\{escape}"')
 
 
+class TestLiteralLimits:
+    """A decimal literal longer than ``int()`` converts (4300 digits by
+    default) is a positioned lexical error; it used to escape as CPython's
+    raw ``ValueError: Exceeds the limit``."""
+
+    SOURCE = "int x = " + "1" * 5000 + ";"
+
+    def test_oversized_decimal_literal_is_a_lex_error(self):
+        with pytest.raises(LexError, match="integer literal too large") as info:
+            tokenize(self.SOURCE, "big.c")
+        assert (info.value.pos.line, info.value.pos.column) == (1, 9)
+
+    def test_oversized_decimal_literal_is_recovered_as_zero(self):
+        bag = DiagnosticBag()
+        toks = tokenize(self.SOURCE, "big.c", bag)
+        assert [t.text for t in toks[:-1]] == ["int", "x", "=", "1" * 5000, ";"]
+        assert toks[3].kind is TokenKind.NUMBER and toks[3].value == 0
+        [diag] = bag.errors()
+        assert diag.message == "integer literal too large"
+        assert (diag.pos.line, diag.pos.column) == (1, 9)
+
+    def test_long_hex_and_octal_literals_still_convert(self):
+        # power-of-two bases are not subject to the decimal digit limit
+        assert values("0x" + "f" * 5000) == [16**5000 - 1]
+        assert values("0" + "7" * 5000) == [8**5000 - 1]
+
+
 class TestMasterRegexEdges:
     """Cases where one alternation must pick what the old per-character
     scanners picked."""
@@ -238,6 +265,15 @@ class TestMasterRegexEdges:
         assert [(t.pos.line, t.pos.column, t.pos.filename) for t in toks] == [
             (1, 1, "m.c"), (40, 3, "h.h"), (41, 1, "h.h"),
         ]
+
+    @pytest.mark.parametrize("digit", ["٣", "３", "𝟛"])
+    def test_linemarker_line_takes_ascii_digits_only(self, digit):
+        """``#٣`` is not a linemarker: it used to renumber the next line
+        as line 3, so an error on line 2 was reported at 3."""
+        with pytest.raises(LexError, match="unexpected character") as info:
+            tokenize(f"#{digit}\nint x = $;", "m.c")
+        assert (info.value.pos.line, info.value.pos.column) == (2, 9)
+        assert info.value.source_line == "int x = $;"
 
 
 def test_lexed_tokens_are_ordinary_frozen_dataclasses():

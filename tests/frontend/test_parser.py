@@ -383,3 +383,31 @@ class TestConstantShifts:
         assert fold("1 / 0") is None and fold("1 % 0") is None
         assert fold("1 < 2") is None and fold("*p") is None
         assert fold("8 >> 64") is None and fold("8 >> 63") == 0
+
+
+class TestConstantDivision:
+    def test_division_truncates_toward_zero(self):
+        """``/`` and ``%`` fold as in C: -7 / 2 is -3 and -7 % 2 is -1
+        (Python's floor division gave -4 and 1)."""
+        unit = parse("enum { A = -7 / 2, B = -7 % 2 }; int a[A + 10]; int b[B + 10];")
+        assert unit.globals[0].ctype == ArrayType(IntType("int"), 7)
+        assert unit.globals[1].ctype == ArrayType(IntType("int"), 9)
+
+        def fold(text):
+            return fold_const(parse_expr(text))
+
+        for a, b in [(-7, 2), (7, -2), (-7, -2), (7, 2), (-8, 2), (0, -3)]:
+            quotient, remainder = fold(f"({a}) / ({b})"), fold(f"({a}) % ({b})")
+            assert quotient == int(a / b)
+            assert quotient * b + remainder == a
+            assert remainder == 0 or (remainder < 0) == (a < 0)
+
+
+class TestLineMap:
+    def test_linemarker_line_takes_ascii_digits_only(self):
+        """The parser's line map ignores ``#٣`` as the lexer does, so the
+        error on line 2 keeps its position and its source line."""
+        with pytest.raises(ParseError, match="expected expression") as info:
+            parse("#٣\nint x = ;", "m.c")
+        assert info.value.pos.line == 2
+        assert info.value.source_line == "int x = ;"
