@@ -36,7 +36,7 @@ import os
 import sys
 
 from repro.api import analyze
-from repro.checkers import run_checker
+from repro.checkers import ALARMS, run_checker
 from repro.frontend.errors import FrontendError
 from repro.runtime.budget import Budget
 from repro.runtime.errors import AnalysisInterrupted, ReproError
@@ -174,8 +174,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     continue
                 printed.add(key)
                 print(f"  {r}")
-                if "alarm" in str(r).lower() or "null" in str(r).lower():
-                    exit_code = max(exit_code, EXIT_ALARMS)
+            if ALARMS[name](reports):
+                exit_code = max(exit_code, EXIT_ALARMS)
             if name == "overrun" and args.cluster:
                 from repro.checkers.cluster import (
                     cluster_alarms,

@@ -9,7 +9,6 @@ from repro.analysis.engine import (
     FixpointEngine,
     FixpointResult,
     FixpointStats,
-    OnePointSpace,
     PropagationSpace,
     StateLattice,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "FixpointEngine",
     "FixpointResult",
     "FixpointStats",
-    "OnePointSpace",
     "PropagationSpace",
     "StateLattice",
     "GraphView",

@@ -123,7 +123,6 @@ def prepare_interval_dense(
     strict: bool = True,
     widen: bool = True,
     widening_thresholds: tuple[int, ...] | str | None = None,
-    widening_delay: int = 0,
 ) -> EnginePlan:
     """Build the plan for ``Interval_vanilla`` / ``Interval_base``."""
     ctx = AnalysisContext(program, pre.site_callees, strict=strict)
@@ -185,7 +184,6 @@ def prepare_interval_dense(
         wto=wto,
         widening_points=widening_points,
         thresholds=_resolve_thresholds(program, widening_thresholds),
-        widening_delay=widening_delay,
         entry_nid=entry.nid,
         node_ids=tuple(node_map.keys()),
         make_edge_transform=make_edge_transform,
@@ -207,7 +205,6 @@ def run_dense(
     on_budget: str = "fail",
     faults=None,
     watchdog: bool = True,
-    widening_delay: int = 0,
     telemetry=None,
     checkpoint=None,
     resume_from=None,
@@ -235,8 +232,7 @@ def run_dense(
             strict=strict,
             widen=widen,
             widening_thresholds=widening_thresholds,
-            widening_delay=widening_delay,
-            telemetry=telemetry,
+                telemetry=telemetry,
         ),
         narrowing_passes=narrowing_passes,
         budget=budget,

@@ -6,7 +6,7 @@ propagation structure: equation (3) propagates whole states along
 control-flow edges, Definition 3 propagates individual abstract locations
 along data dependencies. This module makes that structure a first-class
 parameter. One :class:`FixpointEngine` owns the worklist loop — WTO
-scheduling, widening delay, budget metering, per-procedure degradation,
+scheduling, widening, budget metering, per-procedure degradation,
 narrowing passes, and stats collection exactly once — and is instantiated
 with:
 
@@ -18,17 +18,16 @@ with:
   optional access-based-localization edge transform), while
   :class:`DepGraphSpace` pushes changed locations along data dependencies
   into per-consumer input caches, with control reachability riding along
-  as one bit per node. :class:`OnePointSpace` is the degenerate space with
-  a single self-looping control point — running the engine over it *is*
-  the flow-insensitive pre-analysis;
+  as one bit per node;
 * a **transfer adapter**: a plain ``(nid, state) -> state | None`` callable
   closing over the program's node map and analysis context.
 
 ``dense.py``, ``sparse.py`` and ``relational.py`` build
 :class:`~repro.analysis.plan.EnginePlan` configurations of this core, which
 :func:`~repro.analysis.plan.run_plan` solves into one
-:class:`FixpointResult`; ``preanalysis.py`` runs it over the one-point
-space.
+:class:`FixpointResult`. The flow-insensitive pre-analysis
+(``preanalysis.py``) is one whole-program fold per round and runs its own
+round loop instead.
 """
 
 from __future__ import annotations
@@ -217,13 +216,14 @@ class PropagationSpace:
         """Fill space-specific counters at the end of the ascending phase."""
 
     def snapshot_extra(self) -> dict:
-        """Space-private state a checkpoint must carry (push caches,
-        reachability bits, round counters). The CFG space has none — its
-        inputs are rebuilt from the table on every visit."""
+        """Space-private state a checkpoint must carry (the sparse
+        reachability bits). The CFG space has none — its inputs are rebuilt
+        from the table on every visit."""
         return {}
 
     def restore_extra(self, extra: dict) -> None:
-        """Reinstall :meth:`snapshot_extra`'s payload on resume."""
+        """Reinstall :meth:`snapshot_extra`'s payload on resume, after the
+        table has been restored."""
 
 
 class CfgSpace(PropagationSpace):
@@ -332,20 +332,12 @@ class CellOps:
         """Rebuild a push cache from final source states — what the
         sequentially accumulated cache converges to, since table states only
         grow during ascent and a join over a monotone history equals the
-        join of its last element. Serve's cone solve uses this to
-        reconstitute a consumer's input cache from the retained table
-        instead of keeping caches across edits. Default: the assembled
+        join of its last element. Checkpoint resume and serve's cone solve
+        use this to reconstitute a consumer's input cache from a table
+        instead of keeping the caches themselves. Default: the assembled
         input state doubles as the cache (true for :class:`IntervalCells`,
         whose cache *is* an ``AbsState``)."""
         return self.assemble(in_edges, table)
-
-    def cache_to_wire(self, cache):
-        """Checkpoint codec for one push cache (see
-        :mod:`repro.runtime.checkpoint`)."""
-        raise NotImplementedError
-
-    def cache_from_wire(self, wire):
-        raise NotImplementedError
 
 
 class IntervalCells(CellOps):
@@ -379,16 +371,6 @@ class IntervalCells(CellOps):
                 if not value.is_bottom():
                     state.weak_set(loc, value)
         return state
-
-    def cache_to_wire(self, cache):
-        from repro.runtime.checkpoint import state_to_wire
-
-        return state_to_wire(cache)
-
-    def cache_from_wire(self, wire):
-        from repro.runtime.checkpoint import state_from_wire
-
-        return state_from_wire(wire)
 
 
 class DepGraphSpace(PropagationSpace):
@@ -506,68 +488,20 @@ class DepGraphSpace(PropagationSpace):
         stats.reachable_nodes = len(self.reached)
 
     def snapshot_extra(self) -> dict:
-        cells = self._cells
-        return {
-            "reached": sorted(self.reached),
-            "in_cache": [
-                [nid, cells.cache_to_wire(cache)]
-                for nid, cache in sorted(self.in_cache.items())
-            ],
-        }
+        return {"reached": sorted(self.reached)}
 
     def restore_extra(self, extra: dict) -> None:
-        cells = self._cells
+        # The push caches are not serialized: during ascent every source
+        # state only grows, so the join a cache accumulated over its push
+        # history equals the join of the restored final states.
         self.reached = set(extra["reached"])
+        table = self.engine.table
+        cells = self._cells
+        deps = self._deps
         self.in_cache = {
-            int(nid): cells.cache_from_wire(wire)
-            for nid, wire in extra["in_cache"]
+            nid: cells.assemble_cache(deps.in_edges(nid), table)
+            for nid in self._node_ids
         }
-
-
-class OnePointSpace(PropagationSpace):
-    """The degenerate propagation space: a single control point whose only
-    successor is itself. An engine run over it iterates its transfer —
-    typically a whole-program fold ``λŝ. ⊔_c f♯_c(ŝ)`` — until the global
-    state stops changing: the flow-insensitive pre-analysis is literally the
-    same abstract interpreter over the one-point space. ``max_rounds``
-    bounds the visits (the caller keeps the possibly-unconverged state, as
-    the paper's pre-analysis does)."""
-
-    NODE = 0
-
-    def __init__(
-        self,
-        state_factory: Callable[[], "StateLattice"],
-        max_rounds: int | None = None,
-    ) -> None:
-        self._state_factory = state_factory
-        self._max_rounds = max_rounds
-        #: visits so far == global rounds executed
-        self.rounds = 0
-
-    def seeds(self) -> Sequence[int]:
-        return [self.NODE]
-
-    def schedule_roots(self) -> Sequence[int]:
-        return [self.NODE]
-
-    def schedule_succs(self) -> Mapping[int, Sequence[int]]:
-        return {self.NODE: (self.NODE,)}
-
-    def input_for(self, nid: int):
-        self.rounds += 1
-        state = self.engine.table.get(self.NODE)
-        return state.copy() if state is not None else self._state_factory()
-
-    def propagate(self, nid: int, out, changed, work) -> None:
-        if self._max_rounds is None or self.rounds < self._max_rounds:
-            work.add(self.NODE)
-
-    def snapshot_extra(self) -> dict:
-        return {"rounds": self.rounds}
-
-    def restore_extra(self, extra: dict) -> None:
-        self.rounds = int(extra["rounds"])
 
 
 # --------------------------------------------------------------------------
@@ -605,7 +539,6 @@ class FixpointEngine:
         widening_points: set[int],
         *,
         widening_thresholds: tuple[int, ...] | None = None,
-        widening_delay: int = 0,
         narrowing_passes: int = 0,
         budget: Budget | None = None,
         max_iterations: int | None = None,
@@ -621,11 +554,6 @@ class FixpointEngine:
         self._transfer = transfer
         self._widening_points = widening_points
         self._thresholds = widening_thresholds
-        #: join (don't widen) the first N growth observations per head —
-        #: transient ascents shorter than the delay converge exactly, which
-        #: also makes the result independent of the visit order for them
-        self._widening_delay = widening_delay
-        self._growth: dict[int, int] = {}
         self._narrowing_passes = narrowing_passes
         if meter is None:
             meter = BudgetMeter(
@@ -825,13 +753,7 @@ class FixpointEngine:
             changed = None  # everything is new
         elif nid in wps:
             before = len(old)
-            seen = self._growth.get(nid, 0)
-            if seen < self._widening_delay:
-                changed = old.join_changed(out)
-                if changed:
-                    self._growth[nid] = seen + 1
-            else:
-                changed = old.widen_changed(out, self._thresholds)
+            changed = old.widen_changed(out, self._thresholds)
             self._entries += len(old) - before
             out = old
         else:
@@ -842,27 +764,20 @@ class FixpointEngine:
         if changed is None or changed:
             space.propagate(nid, out, changed, work)
 
-    def preload_table(
-        self,
-        table: Mapping[int, "StateLattice"],
-        growth: Mapping[int, int] | None = None,
-    ) -> None:
+    def preload_table(self, table: Mapping[int, "StateLattice"]) -> None:
         """Seed the engine with an existing table before :meth:`solve` —
         serve's cone solve warm-starts from the retained resident table.
-        Unlike :meth:`restore` this installs only the table (and optionally
-        the per-head widening-delay counters); seeding/worklist behavior is
-        the space's business."""
+        Unlike :meth:`restore` this installs only the table;
+        seeding/worklist behavior is the space's business."""
         self.table = dict(table)
         self._entries = sum(len(s) for s in self.table.values())
-        if growth is not None:
-            self._growth = dict(growth)
 
     # -- checkpoint/resume -----------------------------------------------------
 
     def snapshot(self) -> dict:
         """A complete wire-format snapshot of the in-flight run: the state
         table, the pending worklist in pop order (including any inflight
-        node), widening/iteration counters, and the space's private caches.
+        node), the iteration counters, and the space's private state.
         See DESIGN.md §11 for why this set is sufficient for resume ≡
         uninterrupted equivalence."""
         from repro.runtime.checkpoint import state_to_wire
@@ -875,7 +790,6 @@ class FixpointEngine:
             "iterations": self.stats.iterations,
             "meter_iterations": self._meter.iterations,
             "visited": sorted(self.stats.visited),
-            "growth": sorted(self._growth.items()),
             "table": [
                 [nid, state_to_wire(state)]
                 for nid, state in sorted(self.table.items())
@@ -900,7 +814,6 @@ class FixpointEngine:
         self._entries = sum(len(s) for s in self.table.values())
         self.stats.iterations = int(payload["iterations"])
         self.stats.visited = set(payload["visited"])
-        self._growth = {int(n): int(c) for n, c in payload["growth"]}
         self._meter.iterations = int(payload["meter_iterations"])
         self._resume_pending = [int(n) for n in payload["pending"]]
         self.space.restore_extra(payload.get("space") or {})

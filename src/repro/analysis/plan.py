@@ -5,8 +5,8 @@ engine×domain combo by ``prepare_interval_dense`` (``dense.py``),
 ``prepare_interval_sparse`` (``sparse.py``) and ``prepare_rel_dense`` /
 ``prepare_rel_sparse`` (``relational.py``). :func:`prepare_plan` is the one
 domain×mode dispatch over those four builders, and :func:`run_plan` is the
-one driver: the ``run_*`` functions, ``analyze()``'s engine ladder and
-serve's global solve all end in it, and serve's cone solve builds its engine
+one driver: the ``run_*`` functions, ``analyze()`` and serve's global
+solve all end in it, and serve's cone solve builds its engine
 through the same :func:`_engine_for`. That is what makes a served answer
 comparable to a fresh ``analyze()`` structure for structure.
 """
@@ -59,7 +59,6 @@ class EnginePlan:
     wto: object
     widening_points: set[int]
     thresholds: tuple[int, ...] | None
-    widening_delay: int
     entry_nid: int
     node_ids: tuple[int, ...]
     #: builds the CfgSpace edge transform given a zero-arg thunk returning
@@ -130,7 +129,7 @@ def prepare_plan(
     """Build the plan for one engine×domain combo, running the pre-analysis
     first when ``pre`` is None. ``bypass`` only shapes the sparse modes'
     dependencies; the dense modes ignore it, so one option set serves every
-    rung of ``analyze()``'s fallback ladder."""
+    mode."""
     # The four builders import this module for EnginePlan.
     from repro.analysis.dense import prepare_interval_dense
     from repro.analysis.relational import prepare_rel_dense, prepare_rel_sparse
@@ -174,7 +173,6 @@ def _engine_for(
         plan.transfer,
         plan.widening_points,
         widening_thresholds=plan.thresholds,
-        widening_delay=plan.widening_delay,
         stage=plan.stage,
         priority=plan.wto.priority,
         **engine_options,

@@ -16,15 +16,10 @@ The pre-analysis serves three purposes, exactly as in the paper:
    precise form of flow-insensitive pointer analysis".
 
 Termination: values are joined for a few rounds, then widened — the global
-state forms one big ascending chain.
-
-Implementation-wise the pre-analysis is the generic
-:class:`~repro.analysis.engine.FixpointEngine` run over the degenerate
-:class:`~repro.analysis.engine.OnePointSpace` (a single self-looping
-control point): the transfer is the whole-program fold ``F♯_pre``, and each
-engine visit is one global round — making literal the paper's framing that
-the flow-insensitive analysis is the same abstract interpreter with the
-propagation structure collapsed to a point.
+state forms one big ascending chain. Each round is one application of the
+whole-program fold ``F♯_pre``; the rounds stop when a round after the first
+moves no entry, or after ``_MAX_ROUNDS`` (the possibly-unconverged state is
+kept, as the paper's pre-analysis does).
 
 The fold is *semi-naïve*. Round 1 runs every node's transfer with an
 :class:`~repro.analysis.semantics.AccessLog` and indexes, per location, the
@@ -45,8 +40,8 @@ it did not write is the same object as in the input (DESIGN.md §9).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.analysis.engine import FixpointEngine, OnePointSpace
 from repro.domains.absloc import AbsLoc
 from repro.domains.state import AbsState
 from repro.domains.value import BOT
@@ -102,19 +97,17 @@ def run_preanalysis(
     # Assumes only *refine* states; in a flow-insensitive setting they are
     # sound no-ops and skipping them avoids spurious bottom states.
     active = [node for node in nodes if not isinstance(node.cmd, CAssume)]
-    space = OnePointSpace(AbsState, max_rounds=_MAX_ROUNDS)
     #: location → positions in ``active`` of the nodes that have read it
     readers: dict[AbsLoc, set[int]] = {}
     prev: AbsState | None = None
     visits = 0
 
-    def global_round(_nid: int, state: AbsState) -> AbsState:
-        """One application of ``F♯_pre``: fold over the current global
-        state the transfers of every node in round 1, then of the readers
-        of the locations the previous round changed. The caller's meter is
-        charged per visited node (the engine's own per-round metering stays
-        unlimited — the pre-analysis is the degradation safety net, see
-        above)."""
+    def global_round(state: AbsState, acc: AbsState, widening: bool) -> bool:
+        """One application of ``F♯_pre``: fold into ``acc`` (a copy of the
+        round's input ``state``) the transfers of every node in round 1,
+        then of the readers of the locations the previous round changed.
+        The meter is charged per visited node. True when an entry of
+        ``acc`` moved."""
         nonlocal prev, visits
         if prev is None:
             dirty = range(len(active))
@@ -124,8 +117,7 @@ def run_preanalysis(
                 hit.update(readers.get(loc, ()))
             dirty = sorted(hit)
         prev = state
-        acc = state.copy()
-        widening = space.rounds > _JOIN_ROUNDS
+        moved = False
         for i in dirty:
             node = active[i]
             meter.tick()
@@ -147,22 +139,39 @@ def run_preanalysis(
                 new = old.widen(value) if widening else old.join(value)
                 if new != old:
                     acc.set(loc, new)
-        # The fold only moves entries upward, so the engine's table join
-        # installs ``acc`` verbatim; its changed-set is exactly the set of
-        # entries a round moved (empty → the self-loop is not re-enqueued).
-        return acc
+                    moved = True
+        return moved
 
     with tel.span("pre-analysis") as sp:
-        engine = FixpointEngine(space, global_round, widening_points=set())
-        engine.solve()
-        state = engine.table.get(OnePointSpace.NODE, AbsState())
-
-        result = PreAnalysis(program, state, rounds=space.rounds, visits=visits)
+        state, rounds = iterate_rounds(global_round)
+        result = PreAnalysis(program, state, rounds=rounds, visits=visits)
         for node in nodes:
             if isinstance(node.cmd, CCall):
                 result.site_callees[node.nid] = ctx.resolve_callees(node, state)
-        sp.set(rounds=space.rounds, visits=visits, state_size=len(state))
-    tel.count("pre.rounds", space.rounds)
+        sp.set(rounds=rounds, visits=visits, state_size=len(state))
+    tel.count("pre.rounds", rounds)
     tel.count("pre.visits", visits)
     tel.gauge("pre.state_size", len(state))
     return result
+
+
+def iterate_rounds(
+    global_round: Callable[[AbsState, AbsState, bool], bool],
+    max_rounds: int = _MAX_ROUNDS,
+) -> tuple[AbsState, int]:
+    """Iterate a global round from ⊥; returns the final state and the
+    number of rounds run. ``global_round(state, acc, widening)`` folds one
+    application of ``F♯_pre`` over ``state`` into ``acc`` (a copy of it)
+    and reports whether an entry of ``acc`` moved. Rounds after the
+    ``_JOIN_ROUNDS``-th widen; iteration stops once a round after the
+    first moves nothing, or after ``max_rounds`` rounds."""
+    state = AbsState()
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
+        acc = state.copy()
+        moved = global_round(state, acc, rounds > _JOIN_ROUNDS)
+        state = acc
+        if rounds > 1 and not moved:
+            break
+    return state, rounds

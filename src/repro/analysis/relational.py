@@ -620,7 +620,6 @@ def prepare_rel_dense(
     localize: bool = False,
     strict: bool = True,
     widen: bool = True,
-    widening_delay: int = 0,
 ) -> EnginePlan:
     """Build the plan for ``Octagon_vanilla`` / ``Octagon_base``."""
     if packs is None:
@@ -723,7 +722,6 @@ def prepare_rel_dense(
         wto=wto,
         widening_points=wps,
         thresholds=None,
-        widening_delay=widening_delay,
         entry_nid=entry.nid,
         node_ids=tuple(node_map.keys()),
         make_edge_transform=make_edge_transform,
@@ -746,7 +744,6 @@ def run_rel_dense(
     on_budget: str = "fail",
     faults=None,
     watchdog: bool = True,
-    widening_delay: int = 0,
     telemetry=None,
     checkpoint=None,
     resume_from=None,
@@ -761,8 +758,7 @@ def run_rel_dense(
             packs=packs,
             strict=strict,
             widen=widen,
-            widening_delay=widening_delay,
-            telemetry=telemetry,
+                telemetry=telemetry,
         ),
         narrowing_passes=narrowing_passes,
         budget=budget,
@@ -853,28 +849,6 @@ class PackCells(CellOps):
                     acc[pack] = value
         return acc
 
-    def cache_to_wire(self, cache):
-        from repro.runtime.checkpoint import octagon_to_wire, pack_to_wire
-
-        # None (pinned ⊤) survives the round trip; _UNSET entries don't
-        # exist — a missing key *is* the unset encoding.
-        return [
-            [pack_to_wire(pack), None if oct_ is None else octagon_to_wire(oct_)]
-            for pack, oct_ in sorted(
-                cache.items(), key=lambda kv: kv[0].sort_key()
-            )
-        ]
-
-    def cache_from_wire(self, wire):
-        from repro.runtime.checkpoint import octagon_from_wire, pack_from_wire
-
-        return {
-            pack_from_wire(pack_w): (
-                None if oct_w is None else octagon_from_wire(oct_w)
-            )
-            for pack_w, oct_w in wire
-        }
-
 
 def prepare_rel_sparse(
     program: Program,
@@ -884,7 +858,6 @@ def prepare_rel_sparse(
     bypass: bool = True,
     strict: bool = True,
     widen: bool = True,
-    widening_delay: int = 0,
     telemetry=None,
 ) -> EnginePlan:
     """Build the plan for ``Octagon_sparse``: pack-granular D̂/Û and
@@ -929,7 +902,6 @@ def prepare_rel_sparse(
         wto=wto,
         widening_points=wps,
         thresholds=None,
-        widening_delay=widening_delay,
         entry_nid=program.entry_node().nid,
         node_ids=tuple(node_map.keys()),
         deps=dep_result.deps,
@@ -956,7 +928,6 @@ def run_rel_sparse(
     on_budget: str = "fail",
     faults=None,
     watchdog: bool = True,
-    widening_delay: int = 0,
     telemetry=None,
     checkpoint=None,
     resume_from=None,
@@ -972,8 +943,7 @@ def run_rel_sparse(
             bypass=bypass,
             strict=strict,
             widen=widen,
-            widening_delay=widening_delay,
-            telemetry=telemetry,
+                telemetry=telemetry,
         ),
         narrowing_passes=narrowing_passes,
         budget=budget,

@@ -47,7 +47,6 @@ def prepare_interval_sparse(
     strict: bool = True,
     widen: bool = True,
     widening_thresholds: tuple[int, ...] | str | None = None,
-    widening_delay: int = 0,
     defuse: DefUseInfo | None = None,
     dep_result: DataDepResult | None = None,
     telemetry=None,
@@ -97,7 +96,6 @@ def prepare_interval_sparse(
         wto=wto,
         widening_points=widening_points,
         thresholds=_resolve_thresholds(program, widening_thresholds),
-        widening_delay=widening_delay,
         entry_nid=program.entry_node().nid,
         node_ids=tuple(node_map.keys()),
         deps=dep_result.deps,
@@ -125,7 +123,6 @@ def run_sparse(
     on_budget: str = "fail",
     faults=None,
     watchdog: bool = True,
-    widening_delay: int = 0,
     telemetry=None,
     checkpoint=None,
     resume_from=None,
@@ -150,8 +147,7 @@ def run_sparse(
             strict=strict,
             widen=widen,
             widening_thresholds=widening_thresholds,
-            widening_delay=widening_delay,
-            defuse=defuse,
+                defuse=defuse,
             dep_result=dep_result,
             telemetry=telemetry,
         ),

@@ -13,36 +13,29 @@ One-call entry points for the common workflows::
 (``"sparse"``, ``"base"`` with access-based localization, or ``"vanilla"``).
 
 Resilience (see :mod:`repro.runtime`): ``budget`` caps the fixpoint work,
-``on_budget="degrade"`` trades per-procedure precision for guaranteed
-completion (falling back to the pre-analysis state, sound by Lemma 2), and
-``fallback=("sparse", "base", "vanilla")`` is a whole-run engine ladder —
-each rung gets a slice of the budget, and the terminal pseudo-engine
-``"pre"`` always succeeds by answering every query from the pre-analysis.
-What actually happened is recorded on ``run.diagnostics``.
+and ``on_budget="degrade"`` trades per-procedure precision for guaranteed
+completion (an unconverged procedure falls back to the pre-analysis state,
+sound by Lemma 2). What actually happened is recorded on
+``run.diagnostics``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from repro.analysis.dense import build_interproc_graph
-from repro.analysis.engine import FixpointResult, FixpointStats
+from repro.analysis.engine import FixpointResult
 from repro.analysis.plan import prepare_plan, run_plan
 from repro.analysis.preanalysis import PreAnalysis, run_preanalysis
-from repro.analysis.relational import PackState, RelContext
+from repro.analysis.relational import RelContext
 from repro.checkers.overrun import AccessReport, check_overruns
 from repro.domains.absloc import AbsLoc, VarLoc
 from repro.domains.interval import Interval
 from repro.domains.octagon import Octagon
-from repro.domains.packs import build_packs
-from repro.domains.state import AbsState
 from repro.domains.value import AbsValue
 from repro.frontend.errors import DiagnosticBag
 from repro.ir.program import Program, build_program
 from repro.runtime.budget import Budget
-from repro.runtime.degrade import Diagnostics, preanalysis_table
-from repro.runtime.errors import AnalysisError, BudgetExceeded
+from repro.runtime.degrade import Diagnostics
 from repro.runtime.faults import FaultInjector
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 
@@ -63,8 +56,7 @@ class AnalysisRun:
     (:meth:`_pack_at`).
 
     ``diagnostics`` records what the resilience runtime did: degraded
-    procedures, the fallback engine used (if any), per-rung attempts and
-    iteration counts."""
+    procedures, resilience events and the iteration count."""
 
     program: Program
     pre: PreAnalysis
@@ -333,26 +325,6 @@ def supervised_session(
     )
 
 
-def _preanalysis_result(
-    program: Program, pre: PreAnalysis, domain: str
-) -> FixpointResult:
-    """The ladder's terminal ``"pre"`` rung: every query is answered from
-    the pre-analysis state."""
-    octagon = domain == "octagon"
-    return FixpointResult(
-        preanalysis_table(program, pre, domain),
-        FixpointStats(),
-        pre=pre,
-        graph=build_interproc_graph(program, pre.site_callees, localized=False),
-        packs=build_packs(program) if octagon else None,
-        diagnostics=Diagnostics(
-            degraded_procs=list(program.procedures()),
-            events=["whole run answered from the pre-analysis state"],
-        ),
-        bottom=PackState if octagon else AbsState,
-    )
-
-
 def analyze(
     source: str,
     domain: str = "interval",
@@ -363,7 +335,6 @@ def analyze(
     budget: Budget | None = None,
     budget_seconds: float | None = None,
     on_budget: str = "fail",
-    fallback: tuple[str, ...] | None = None,
     faults=None,
     watchdog: bool = True,
     telemetry=None,
@@ -389,9 +360,6 @@ def analyze(
     * ``on_budget`` — ``"fail"`` raises :class:`BudgetExceeded` (the paper's
       ∞ entries); ``"degrade"`` fills unconverged procedures from the
       pre-analysis state and completes the run;
-    * ``fallback`` — an engine ladder, e.g. ``("sparse", "base", "pre")``:
-      each rung gets ``budget.split(len(fallback))`` and the first to finish
-      wins; the pseudo-engine ``"pre"`` cannot fail;
     * ``faults`` — a :class:`repro.runtime.faults.FaultPlan` for
       deterministic failure injection (testing);
     * ``watchdog`` — verify every degraded state stays ⊑ the pre-analysis
@@ -409,9 +377,7 @@ def analyze(
     restores that snapshot — after validating format version, content
     digest, and a configuration fingerprint, failing closed with a
     :class:`~repro.runtime.errors.CheckpointError` otherwise — and the run
-    converges to the same fixpoint as an uninterrupted one. Incompatible
-    with ``fallback`` (a ladder re-runs stages; a snapshot belongs to
-    exactly one engine configuration).
+    converges to the same fixpoint as an uninterrupted one.
 
     Frontend fault tolerance (ISSUE 6): by default malformed input is
     *recovered* — lex/parse/lowering errors become positioned caret
@@ -425,12 +391,8 @@ def analyze(
     """
     if on_budget not in ("fail", "degrade"):
         raise ValueError(f"on_budget must be 'fail' or 'degrade', not {on_budget!r}")
-    stages = tuple(fallback) if fallback else (mode,)
-    for stage in stages:
-        if stage not in ("sparse", "base", "vanilla", "pre"):
-            raise ValueError(
-                f"unknown mode {stage!r}: expected sparse, base, vanilla or pre"
-            )
+    if mode not in ("sparse", "base", "vanilla"):
+        raise ValueError(f"unknown mode {mode!r}: expected sparse, base or vanilla")
     tel = Telemetry.coerce(telemetry)
     bag = DiagnosticBag() if not strict_frontend else None
     with tel.span("frontend", file=filename) as front_span:
@@ -469,10 +431,6 @@ def analyze(
     checkpointer = None
     resume_payload = None
     if checkpoint_path is not None:
-        if fallback:
-            raise ValueError(
-                "checkpointing is incompatible with a fallback engine ladder"
-            )
         from repro.runtime.checkpoint import (
             Checkpointer,
             config_fingerprint,
@@ -494,61 +452,31 @@ def analyze(
     elif resume:
         raise ValueError("resume=True requires checkpoint_path")
 
-    stage_budget = (
-        resolved_budget.split(len(stages)) if resolved_budget is not None else None
+    narrowing_passes = options.pop("narrowing_passes", 0)
+    plan = prepare_plan(program, pre, domain, mode, telemetry=tel, **options)
+    result = run_plan(
+        plan,
+        narrowing_passes=narrowing_passes,
+        budget=resolved_budget,
+        on_budget=on_budget,
+        watchdog=watchdog,
+        telemetry=tel,
+        faults=injector,
+        checkpoint=checkpointer,
+        resume_from=resume_payload,
     )
-    run_options = {
-        "narrowing_passes": options.pop("narrowing_passes", 0),
-        "budget": stage_budget,
-        "on_budget": on_budget,
-        "watchdog": watchdog,
-        "telemetry": tel,
-        "faults": injector,
-        "checkpoint": checkpointer,
-        "resume_from": resume_payload,
-    }
-
-    attempts: list[tuple[str, str, float, str | None]] = []
-    last_exc: Exception | None = None
-    for stage in stages:
-        start = time.perf_counter()
-        try:
-            if stage == "pre":
-                result = _preanalysis_result(program, pre, domain)
-            else:
-                plan = prepare_plan(
-                    program, pre, domain, stage, telemetry=tel, **options
-                )
-                result = run_plan(plan, **run_options)
-        except (BudgetExceeded, AnalysisError) as exc:
-            outcome = "budget" if isinstance(exc, BudgetExceeded) else "error"
-            attempts.append((stage, outcome, time.perf_counter() - start, str(exc)))
-            last_exc = exc
-            continue
-        diagnostics = result.diagnostics
-        if diagnostics is None:
-            diagnostics = Diagnostics(budget=stage_budget)
-        for prior_stage, outcome, seconds, error in attempts:
-            diagnostics.record_attempt(prior_stage, outcome, seconds, error=error)
-        diagnostics.record_attempt(
-            stage, "ok", time.perf_counter() - start, diagnostics.iterations
+    diagnostics = result.diagnostics
+    if resume_payload is not None:
+        diagnostics.events.append(
+            f"resumed from checkpoint at iteration {resume_payload['iterations']}"
         )
-        if stage != stages[0]:
-            diagnostics.fallback_used = stage
-        if resume_payload is not None:
-            diagnostics.events.append(
-                "resumed from checkpoint at iteration "
-                f"{resume_payload['iterations']}"
-            )
-        return AnalysisRun(
-            program,
-            pre,
-            domain,
-            mode,
-            result,
-            diagnostics,
-            telemetry=tel,
-            frontend_diagnostics=bag if bag is not None else DiagnosticBag(),
-        )
-    assert last_exc is not None
-    raise last_exc
+    return AnalysisRun(
+        program,
+        pre,
+        domain,
+        mode,
+        result,
+        diagnostics,
+        telemetry=tel,
+        frontend_diagnostics=bag if bag is not None else DiagnosticBag(),
+    )

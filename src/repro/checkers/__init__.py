@@ -21,6 +21,13 @@ CHECKERS = {
     "nullderef": check_null_derefs,
 }
 
+#: checker name → the filter keeping the reports whose verdict is an alarm
+ALARMS = {
+    "overrun": alarms,
+    "divzero": div_alarms,
+    "nullderef": null_alarms,
+}
+
 
 def run_checker(name: str, program, result, telemetry=None) -> list:
     """Dispatch one checker by name, traced as a ``checkers`` phase span.
@@ -55,6 +62,7 @@ __all__ = [
     "NullVerdict",
     "check_null_derefs",
     "null_alarms",
+    "ALARMS",
     "CHECKERS",
     "run_checker",
 ]

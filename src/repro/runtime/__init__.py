@@ -39,9 +39,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.degrade import (
     DegradeController,
     Diagnostics,
-    StageAttempt,
     make_watchdog,
-    preanalysis_table,
 )
 from repro.runtime.errors import (
     AnalysisError,
@@ -73,14 +71,12 @@ __all__ = [
     "JobOutcome",
     "ReproError",
     "SoundnessViolation",
-    "StageAttempt",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
     "config_fingerprint",
     "load_checkpoint",
     "make_watchdog",
-    "preanalysis_table",
     "raising_signal_handlers",
     "run_batch",
     "save_checkpoint",

@@ -13,16 +13,14 @@ the wall-clock and state-size checks are amortized — probed only every
 ``Budget.check_every`` ticks — so an unlimited or generous budget costs one
 integer increment and two ``None`` tests per iteration.
 
-One meter may be shared across phases (main loop then narrowing, or the
-stages of an engine ladder) so that *all* work counts against the same pool;
-:meth:`Budget.split` derives per-stage budgets for the whole-run fallback
-ladder in :func:`repro.api.analyze`.
+One meter is shared across phases (main loop then narrowing) so that *all*
+work counts against the same pool.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.runtime.errors import BudgetExceeded
@@ -55,23 +53,6 @@ class Budget:
         self, stage: str = "analysis", clock: Callable[[], float] = time.perf_counter
     ) -> "BudgetMeter":
         return BudgetMeter(self, stage=stage, clock=clock)
-
-    def split(self, stages: int) -> "Budget":
-        """A per-stage budget for an ``stages``-deep fallback ladder: divisible
-        limits are split evenly, the amortization stride is kept."""
-        if stages <= 1:
-            return self
-        return replace(
-            self,
-            max_seconds=(
-                None if self.max_seconds is None else self.max_seconds / stages
-            ),
-            max_iterations=(
-                None
-                if self.max_iterations is None
-                else max(1, self.max_iterations // stages)
-            ),
-        )
 
     @classmethod
     def coerce(

@@ -2,15 +2,17 @@
 
 A checkpoint is a *complete, self-validating* snapshot of a
 :class:`~repro.analysis.engine.FixpointEngine` mid-ascent: the state table,
-the pending worklist (in pop order), the widening/iteration counters, the
-propagation space's private caches, and the set of already-degraded
-procedures. Restoring it and running the engine to completion converges to
-the same fixpoint as the uninterrupted run — byte-identical tables, not
-just equivalent ones — because every piece of engine state that influences
-processing order or join results is captured (see DESIGN.md §11 for the
+the pending worklist (in pop order), the iteration counters, the sparse
+space's reachability bits, and the set of already-degraded procedures. The
+sparse push caches are not stored: resume rebuilds them from the restored
+table, since source states only grow during ascent. Restoring it and
+running the engine to completion converges to the same fixpoint as the
+uninterrupted run — byte-identical tables, not just equivalent ones —
+because every piece of engine state that influences processing order or
+join results is captured or rebuilt exactly (see DESIGN.md §11 for the
 equivalence argument).
 
-File format (version 1)::
+File format (version 2)::
 
     <header JSON line>\n<payload bytes>
 
@@ -50,7 +52,7 @@ from repro.runtime.errors import CheckpointError
 from repro.telemetry.core import Telemetry
 
 #: bump whenever the payload layout or any wire codec changes shape
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _MAGIC = "repro-checkpoint"
 
 

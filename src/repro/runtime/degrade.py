@@ -32,30 +32,15 @@ from repro.runtime.errors import SoundnessViolation
 
 
 @dataclass
-class StageAttempt:
-    """One rung of the engine fallback ladder (or the single direct run)."""
-
-    mode: str
-    outcome: str  # "ok" | "budget" | "error"
-    seconds: float = 0.0
-    iterations: int = 0
-    error: str | None = None
-
-
-@dataclass
 class Diagnostics:
     """What actually happened during an analysis run.
 
     ``degraded_procs`` lists procedures whose states were replaced by the
-    pre-analysis bound, in degradation order; ``fallback_used`` names the
-    ladder stage that produced the final result when it differs from the
-    requested engine; ``events`` is a human-readable trace of every
-    resilience action taken.
+    pre-analysis bound, in degradation order; ``events`` is a human-readable
+    trace of every resilience action taken.
     """
 
     degraded_procs: list[str] = field(default_factory=list)
-    fallback_used: str | None = None
-    attempts: list[StageAttempt] = field(default_factory=list)
     iterations: int = 0
     events: list[str] = field(default_factory=list)
     budget: Budget | None = None
@@ -64,27 +49,10 @@ class Diagnostics:
     def degraded(self) -> bool:
         return bool(self.degraded_procs)
 
-    @property
-    def clean(self) -> bool:
-        """True when no resilience machinery had to act."""
-        return not self.degraded_procs and self.fallback_used is None
-
-    def record_attempt(
-        self,
-        mode: str,
-        outcome: str,
-        seconds: float = 0.0,
-        iterations: int = 0,
-        error: str | None = None,
-    ) -> None:
-        self.attempts.append(StageAttempt(mode, outcome, seconds, iterations, error))
-
     def __str__(self) -> str:
         bits = [f"iterations={self.iterations}"]
         if self.degraded_procs:
             bits.append(f"degraded={','.join(self.degraded_procs)}")
-        if self.fallback_used:
-            bits.append(f"fallback={self.fallback_used}")
         return "Diagnostics(" + " ".join(bits) + ")"
 
 
@@ -186,17 +154,3 @@ def preanalysis_bound(pre, domain: str):
 
     return PackState()
 
-
-def preanalysis_table(program, pre, domain: str = "interval") -> dict[int, object]:
-    """A whole-program table filled from the pre-analysis — the terminal
-    ``"pre"`` rung of the engine ladder, which always succeeds."""
-    bound = preanalysis_bound(pre, domain)
-    table: dict[int, object] = {}
-    for proc in program.procedures():
-        cfg = program.cfgs.get(proc)
-        if cfg is None:
-            continue
-        state = bound.copy()
-        for node in cfg.nodes:
-            table[node.nid] = state
-    return table

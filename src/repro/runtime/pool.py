@@ -182,11 +182,9 @@ class BatchReport:
 def _count_alarms(run) -> int:
     if run.domain != "interval":
         return 0
-    return sum(
-        1
-        for report in run.overrun_reports()
-        if "alarm" in str(report).lower() or "null" in str(report).lower()
-    )
+    from repro.checkers import alarms
+
+    return len(alarms(run.overrun_reports()))
 
 
 def _worker_main(spec: dict, ckpt_path: str, result_path: str, attempt: int,

@@ -97,6 +97,29 @@ def dispatch_request(session, request: dict[str, Any]) -> dict[str, Any]:
     return _dispatch(session, request)
 
 
+def _text(request: dict[str, Any], key: str) -> str | None:
+    """``request[key]`` when it is a string, None when absent or null."""
+    value = request.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ProtocolError(
+            "bad-request", f"'{key}' must be a string, not {type(value).__name__}"
+        )
+    return value
+
+
+def _line(request: dict[str, Any]) -> int | None:
+    """``request["line"]`` when it is a non-negative integer (``true`` is
+    not a line number), None when absent or null."""
+    value = request.get("line")
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ProtocolError(
+            "bad-request", f"'line' must be a non-negative integer, not {value!r}"
+        )
+    return value
+
+
 def _dispatch(session, request: dict[str, Any]) -> dict[str, Any]:
     op = request["op"]
     if op == "ping":
@@ -107,28 +130,29 @@ def _dispatch(session, request: dict[str, Any]) -> dict[str, Any]:
         kind = request.get("kind", "interval")
         if kind == "interval":
             result = session.query_interval(
-                request.get("proc"),
-                request.get("var"),
-                line=request.get("line"),
+                _text(request, "proc"),
+                _text(request, "var"),
+                line=_line(request),
                 domain=request.get("domain"),
                 mode=request.get("mode"),
             )
             return {"ok": True, "op": "query", **result.as_dict()}
         if kind == "check":
             result = session.query_check(
-                request.get("proc"),
+                _text(request, "proc"),
                 domain=request.get("domain"),
                 mode=request.get("mode"),
             )
             return {"ok": True, "op": "query", **result.as_dict()}
         raise ProtocolError("bad-request", f"unknown query kind {kind!r}")
     if op == "edit":
-        if "source" in request:
-            info = session.edit(source=request["source"])
-        elif "function" in request and "body" in request:
-            info = session.edit(
-                function=request["function"], body=request["body"]
-            )
+        source = _text(request, "source")
+        function = _text(request, "function")
+        body = _text(request, "body")
+        if source is not None:
+            info = session.edit(source=source)
+        elif function is not None and body is not None:
+            info = session.edit(function=function, body=body)
         else:
             raise ProtocolError(
                 "bad-request",

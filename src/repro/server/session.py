@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -531,20 +532,26 @@ class ServeSession:
         later functions keep their line numbers — allocation sites embed
         lines, and a shifted site would conservatively dirty its proc."""
         lines = self.source.splitlines()
+        # the name as a whole identifier followed by '(' — at brace depth 0,
+        # so a call inside another body is never taken for the definition
+        name = re.compile(rf"(?<![A-Za-z0-9_]){re.escape(function)}\s*\(")
         open_idx = None
+        depth = 0
         for i, text in enumerate(lines):
             stripped = text.split("//")[0]
-            if function in stripped and "(" in stripped:
+            match = name.search(stripped)
+            before = stripped[: match.start()] if match else ""
+            if match and depth + before.count("{") - before.count("}") == 0:
                 j = i
                 while j < len(lines) and "{" not in lines[j].split("//")[0]:
                     if ";" in lines[j].split("//")[0]:
                         break  # a prototype, not a definition
                     j += 1
                 if j < len(lines) and "{" in lines[j].split("//")[0]:
-                    before = stripped[: stripped.index(function)]
                     if "=" not in before:
                         open_idx = j
                         break
+            depth += stripped.count("{") - stripped.count("}")
         if open_idx is None:
             raise ValueError(f"cannot find a definition of {function!r}")
         depth = 0

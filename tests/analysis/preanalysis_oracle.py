@@ -5,13 +5,13 @@ It is the plain naïve iteration of ``F♯_pre = λŝ. ⊔_c f♯_c(ŝ)``: each
 round folds the transfer of *every* non-assume node over the current
 global state, with no read index and no skipping, so the semi-naïve loop
 can be checked against it cell by cell (value ``repr``), call site by call
-site and round by round.
+site and round by round. Both folds run under the same round driver,
+:func:`~repro.analysis.preanalysis.iterate_rounds`.
 """
 
 from __future__ import annotations
 
-from repro.analysis.engine import FixpointEngine, OnePointSpace
-from repro.analysis.preanalysis import _JOIN_ROUNDS, _MAX_ROUNDS, PreAnalysis
+from repro.analysis.preanalysis import _MAX_ROUNDS, PreAnalysis, iterate_rounds
 from repro.analysis.semantics import AnalysisContext, transfer
 from repro.domains.state import AbsState
 from repro.ir.commands import CAssume, CCall
@@ -26,13 +26,11 @@ def run_preanalysis_oracle(
     ``max_rounds`` stops early, to inspect the state after round N."""
     ctx = AnalysisContext(program, site_callees=None)
     nodes = program.nodes()
-    space = OnePointSpace(AbsState, max_rounds=max_rounds)
     visits = 0
 
-    def global_round(_nid: int, state: AbsState) -> AbsState:
+    def global_round(state: AbsState, acc: AbsState, widening: bool) -> bool:
         nonlocal visits
-        acc = state.copy()
-        widening = space.rounds > _JOIN_ROUNDS
+        moved = False
         for node in nodes:
             if isinstance(node.cmd, CAssume):
                 continue
@@ -45,13 +43,11 @@ def run_preanalysis_oracle(
                 new = old.widen(value) if widening else old.join(value)
                 if new != old:
                     acc.set(loc, new)
-        return acc
+                    moved = True
+        return moved
 
-    engine = FixpointEngine(space, global_round, widening_points=set())
-    engine.solve()
-    state = engine.table.get(OnePointSpace.NODE, AbsState())
-
-    result = PreAnalysis(program, state, rounds=space.rounds, visits=visits)
+    state, rounds = iterate_rounds(global_round, max_rounds)
+    result = PreAnalysis(program, state, rounds=rounds, visits=visits)
     resolving_ctx = AnalysisContext(program, site_callees=None)
     for node in nodes:
         if isinstance(node.cmd, CCall):

@@ -172,19 +172,6 @@ def test_narrowing_identical(mode):
     assert_tables_equal(wto, fifo, f"narrowed/{mode}")
 
 
-@pytest.mark.parametrize("mode", INTERVAL_MODES)
-def test_widening_delay_sound_and_no_less_precise(mode):
-    """``widening_delay`` joins the first growth observations at each head;
-    the delayed run must stay pointwise ⊑ the undelayed one (delaying can
-    only refine) and still terminate."""
-    plain = analyze(HANDWRITTEN, mode=mode)
-    delayed = analyze(HANDWRITTEN, mode=mode, widening_delay=2)
-    for nid, state in delayed.result.table.items():
-        other = plain.result.table.get(nid)
-        assert other is not None
-        assert state.leq(other), f"delay lost soundness bound at node {nid}"
-
-
 def test_wto_no_more_iterations_on_loops():
     """The headline claim: WTO never schedules worse than FIFO here."""
     wto, fifo = run_both(HANDWRITTEN, "interval", "vanilla")

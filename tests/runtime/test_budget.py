@@ -38,17 +38,6 @@ class TestBudget:
     def test_coerce_none_when_no_limits(self):
         assert Budget.coerce(None) is None
 
-    def test_split_divides_divisible_limits(self):
-        budget = Budget(max_seconds=9.0, max_iterations=30, max_state_entries=100)
-        per_stage = budget.split(3)
-        assert per_stage.max_seconds == 3.0
-        assert per_stage.max_iterations == 10
-        assert per_stage.max_state_entries == 100  # memory is not time-sliced
-
-    def test_split_one_stage_is_identity(self):
-        budget = Budget(max_iterations=5)
-        assert budget.split(1) is budget
-
 
 class TestBudgetMeter:
     def test_iteration_cap_is_exact(self):

@@ -153,59 +153,20 @@ class TestFaultInjectionPaths:
         )
 
 
-class TestEngineLadder:
-    def test_ladder_falls_back_to_pre(self):
-        run = analyze(
-            SRC,
-            mode="sparse",
-            budget=Budget(max_iterations=2),
-            fallback=("sparse", "pre"),
-        )
-        assert run.diagnostics.fallback_used == "pre"
-        outcomes = [(a.mode, a.outcome) for a in run.diagnostics.attempts]
-        assert outcomes == [("sparse", "budget"), ("pre", "ok")]
-        # the pre stage marks every procedure as degraded
-        assert "main" in run.diagnostics.degraded_procs
-        assert not run.interval_at_exit("main", "g").is_bottom()
-
-    def test_ladder_first_rung_wins_with_room(self):
-        run = analyze(SRC, mode="sparse", fallback=("sparse", "base", "vanilla"))
-        assert run.diagnostics.fallback_used is None
-        assert [a.outcome for a in run.diagnostics.attempts] == ["ok"]
-        assert run.diagnostics.degraded_procs == []
-
-    def test_ladder_octagon_pre_stage(self):
-        run = analyze(
-            SRC,
-            domain="octagon",
-            mode="sparse",
-            budget=Budget(max_iterations=2),
-            fallback=("sparse", "pre"),
-        )
-        assert run.diagnostics.fallback_used == "pre"
-        assert not run.interval_at_exit("main", "x").is_bottom()
-
+class TestModeValidation:
     @pytest.mark.parametrize(
-        "ladder", [("sparse", "nope"), ("nope", "sparse")]
+        "budget", [None, Budget(max_iterations=5)], ids=["no-budget", "budget"]
     )
-    def test_unknown_rung_rejected_before_any_work(self, ladder):
-        # the sparse rung would finish (or spend its budget share) first if
-        # rungs were only checked as the ladder reached them
-        for budget in (None, Budget(max_iterations=5)):
-            with pytest.raises(ValueError, match="unknown mode 'nope'"):
-                analyze(SRC, fallback=ladder, budget=budget)
+    def test_unknown_mode_rejected_before_any_work(self, budget):
+        with pytest.raises(ValueError, match="unknown mode 'nope'"):
+            analyze(SRC, mode="nope", budget=budget)
         # checked before the frontend too: no parse error surfaces first
         with pytest.raises(ValueError, match="unknown mode 'nope'"):
-            analyze("int main(", fallback=ladder)
+            analyze("int main(", mode="nope", budget=budget)
 
-    def test_ladder_exhausted_raises_last_error(self):
-        with pytest.raises(BudgetExceeded):
-            analyze(
-                SRC,
-                mode="sparse",
-                budget=Budget(max_iterations=2),
-                fallback=("sparse", "base"),
-            )
+    def test_pre_is_not_a_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'pre'"):
+            analyze(SRC, mode="pre")
 
 
 class TestSoundnessWatchdog:

@@ -187,6 +187,44 @@ def test_edit_requires_source_or_function_body():
     assert "source" in reply["message"]
 
 
+#: request fields of the wrong type, each with its test id
+MISTYPED = {
+    "line-string": {"op": "query", "proc": "main", "var": "g", "line": "3"},
+    "line-bool": {"op": "query", "proc": "main", "var": "g", "line": True},
+    "line-negative": {"op": "query", "proc": "main", "var": "g", "line": -1},
+    "line-float": {"op": "query", "proc": "main", "var": "g", "line": 2.5},
+    "proc-int": {"op": "query", "proc": 7, "var": "g"},
+    "var-list": {"op": "query", "proc": "main", "var": ["g"]},
+    "check-proc-int": {"op": "query", "kind": "check", "proc": 7},
+    "source-int": {"op": "edit", "source": 5},
+    "function-int": {"op": "edit", "function": 7, "body": "    return 1;"},
+    "body-object": {"op": "edit", "function": "f", "body": {"text": "1"}},
+}
+
+
+@pytest.mark.parametrize("fields", MISTYPED.values(), ids=MISTYPED.keys())
+def test_mistyped_fields_are_bad_requests(fields):
+    session = ServeSession(SRC, strict=False, widen=False)
+    (reply, ping) = drive(
+        session, [json.dumps({"id": 1, **fields}), '{"id": 2, "op": "ping"}']
+    )
+    assert reply["ok"] is False and reply["error"] == "bad-request", reply
+    assert reply["id"] == 1
+    assert ping["ok"] is True and ping["generation"] == 0
+
+
+def test_line_zero_and_null_fields_are_accepted():
+    session = ServeSession(SRC, strict=False, widen=False)
+    replies = drive(
+        session,
+        [
+            '{"id": 1, "op": "query", "proc": "main", "var": "g", "line": 0}',
+            '{"id": 2, "op": "query", "proc": "main", "var": "g", "line": null}',
+        ],
+    )
+    assert [r["ok"] for r in replies] == [True, True], replies
+
+
 # -- snapshot / restore -----------------------------------------------------
 
 

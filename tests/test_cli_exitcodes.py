@@ -133,6 +133,59 @@ class TestExitCodes:
         assert {j["label"] for j in data["jobs"]} == {"ok"}
 
 
+#: the only access is in bounds, inside a function whose name says "alarm"
+SAFE_IN_ALARM_NAMED = """
+int a[4];
+int set_alarm(int k) {
+  a[1] = k;
+  return 0;
+}
+int main(void) {
+  return set_alarm(2);
+}
+"""
+
+#: a dereference of a pointer that points nowhere: a NO-TARGET null report
+NO_TARGET = """
+int *p;
+int main(void) {
+  return *p;
+}
+"""
+
+
+class TestAlarmVerdicts:
+    """The exit code follows the checkers' verdicts, not the report text."""
+
+    def test_safe_access_in_alarm_named_function_exits_0(self, tmp_path):
+        path = tmp_path / "named.c"
+        path.write_text(SAFE_IN_ALARM_NAMED)
+        proc = _run([str(path)])
+        assert "[SAFE]" in proc.stdout and "set_alarm" in proc.stdout
+        assert proc.returncode == 0, proc.stdout
+
+    def test_batch_counts_verdicts_not_names(self, tmp_path):
+        path = tmp_path / "named.c"
+        path.write_text(SAFE_IN_ALARM_NAMED)
+        report = tmp_path / "report.json"
+        proc = _run(
+            [
+                "batch", str(path),
+                "--checkpoint-dir", str(tmp_path / "ckpt"),
+                "--report", str(report),
+            ]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(report.read_text())["jobs"][0]["alarms"] == 0
+
+    def test_no_target_null_report_exits_1(self, tmp_path):
+        path = tmp_path / "nowhere.c"
+        path.write_text(NO_TARGET)
+        proc = _run(["analyze", str(path), "--check", "nullderef"])
+        assert "[NO-TARGET]" in proc.stdout
+        assert proc.returncode == 1, proc.stdout
+
+
 class TestSignalExit:
     def _slow_source(self, tmp_path):
         parts = ["int g;"]
