@@ -649,31 +649,41 @@ class FixpointEngine:
         checkpoint before re-raising. Narrowing aborts deliberately do not:
         the last ascending checkpoint on disk is still a valid resume point
         (resuming replays the ascending tail and then narrows in full).
+
+        The space refers back to this engine (:meth:`PropagationSpace.bind`,
+        and a plan's table thunk), so the engine drops it when the run ends,
+        however it ends: the run's object graph is then acyclic and
+        reference counting frees it without the cyclic collector.
         """
         try:
-            with self._telemetry.span("fixpoint", stage=self._meter.stage) as sp:
-                self._phase = "ascending"
-                table = self._solve_ascending()
-                self._phase = "idle"
-                sp.set(iterations=self.stats.iterations)
-        except BaseException:
-            if self._checkpointer is not None and self._phase == "ascending":
-                try:
-                    self._checkpointer.write(self, reason="abort")
-                except Exception:
-                    pass  # never mask the original failure
-            raise
-        if self._narrowing_passes:
-            before = self.stats.iterations
-            with self._telemetry.span(
-                "narrowing", passes=self._narrowing_passes
-            ) as sp:
-                self.narrow(self._narrowing_passes)
-                sp.set(iterations=self.stats.iterations - before)
-            self._telemetry.count(
-                "narrowing.iterations", self.stats.iterations - before
-            )
-        return table
+            try:
+                with self._telemetry.span(
+                    "fixpoint", stage=self._meter.stage
+                ) as sp:
+                    self._phase = "ascending"
+                    table = self._solve_ascending()
+                    self._phase = "idle"
+                    sp.set(iterations=self.stats.iterations)
+            except BaseException:
+                if self._checkpointer is not None and self._phase == "ascending":
+                    try:
+                        self._checkpointer.write(self, reason="abort")
+                    except Exception:
+                        pass  # never mask the original failure
+                raise
+            if self._narrowing_passes:
+                before = self.stats.iterations
+                with self._telemetry.span(
+                    "narrowing", passes=self._narrowing_passes
+                ) as sp:
+                    self.narrow(self._narrowing_passes)
+                    sp.set(iterations=self.stats.iterations - before)
+                self._telemetry.count(
+                    "narrowing.iterations", self.stats.iterations - before
+                )
+            return table
+        finally:
+            self.space = None
 
     def _solve_ascending(self) -> dict[int, "StateLattice"]:
         space = self.space

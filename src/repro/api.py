@@ -35,6 +35,7 @@ from repro.domains.value import AbsValue
 from repro.frontend.errors import DiagnosticBag
 from repro.ir.program import Program, build_program
 from repro.runtime.budget import Budget
+from repro.runtime.collector import collections_counted, collector_paused
 from repro.runtime.degrade import Diagnostics
 from repro.runtime.faults import FaultInjector
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
@@ -394,89 +395,92 @@ def analyze(
     if mode not in ("sparse", "base", "vanilla"):
         raise ValueError(f"unknown mode {mode!r}: expected sparse, base or vanilla")
     tel = Telemetry.coerce(telemetry)
-    bag = DiagnosticBag() if not strict_frontend else None
-    with tel.span("frontend", file=filename) as front_span:
-        if preprocess_source:
-            from repro.frontend.preprocessor import preprocess
+    # The run frees its objects by reference counting (DESIGN.md, "Memory
+    # management"): the cyclic collector has nothing to do until it ends.
+    with collector_paused(), collections_counted(tel):
+        bag = DiagnosticBag() if not strict_frontend else None
+        with tel.span("frontend", file=filename) as front_span:
+            if preprocess_source:
+                from repro.frontend.preprocessor import preprocess
 
-            source = preprocess(source, filename, diagnostics=bag)
-        if inline:
-            from repro.frontend import parse
-            from repro.frontend.inliner import inline_unit
-            from repro.ir.program import ProgramBuilder
+                source = preprocess(source, filename, diagnostics=bag)
+            if inline:
+                from repro.frontend import parse
+                from repro.frontend.inliner import inline_unit
+                from repro.ir.program import ProgramBuilder
 
-            unit, _count = inline_unit(parse(source, filename, bag))
-            program = ProgramBuilder(unit, diagnostics=bag).build()
-        else:
-            program = build_program(
-                source, filename, telemetry=tel, diagnostics=bag
+                unit, _count = inline_unit(parse(source, filename, bag))
+                program = ProgramBuilder(unit, diagnostics=bag).build()
+            else:
+                program = build_program(
+                    source, filename, telemetry=tel, diagnostics=bag
+                )
+            front_span.set(
+                procedures=program.num_functions(),
+                control_points=program.num_statements(),
             )
-        front_span.set(
-            procedures=program.num_functions(),
-            control_points=program.num_statements(),
+        if bag is not None and bag.errors() and not program.analyzed_functions():
+            # Recovery found nothing analyzable: this is the one hard-failure
+            # case of the recovery contract (everything else degrades).
+            raise bag.to_error(f"no recoverable functions in {filename}")
+        pre = run_preanalysis(program, telemetry=tel)
+
+        resolved_budget = Budget.coerce(
+            budget,
+            max_iterations=options.pop("max_iterations", None),
+            max_seconds=budget_seconds,
         )
-    if bag is not None and bag.errors() and not program.analyzed_functions():
-        # Recovery found nothing analyzable: this is the one hard-failure
-        # case of the recovery contract (everything else degrades).
-        raise bag.to_error(f"no recoverable functions in {filename}")
-    pre = run_preanalysis(program, telemetry=tel)
+        injector = FaultInjector.coerce(faults)
 
-    resolved_budget = Budget.coerce(
-        budget,
-        max_iterations=options.pop("max_iterations", None),
-        max_seconds=budget_seconds,
-    )
-    injector = FaultInjector.coerce(faults)
+        checkpointer = None
+        resume_payload = None
+        if checkpoint_path is not None:
+            from repro.runtime.checkpoint import (
+                Checkpointer,
+                config_fingerprint,
+                load_checkpoint,
+            )
 
-    checkpointer = None
-    resume_payload = None
-    if checkpoint_path is not None:
-        from repro.runtime.checkpoint import (
-            Checkpointer,
-            config_fingerprint,
-            load_checkpoint,
-        )
+            fingerprint = config_fingerprint(domain, mode, options, program)
+            checkpointer = Checkpointer(
+                checkpoint_path,
+                every=checkpoint_every,
+                fingerprint=fingerprint,
+                telemetry=tel,
+                heartbeat=True,
+            )
+            if resume:
+                resume_payload = load_checkpoint(
+                    checkpoint_path, expect_fingerprint=fingerprint
+                )
+        elif resume:
+            raise ValueError("resume=True requires checkpoint_path")
 
-        fingerprint = config_fingerprint(domain, mode, options, program)
-        checkpointer = Checkpointer(
-            checkpoint_path,
-            every=checkpoint_every,
-            fingerprint=fingerprint,
+        narrowing_passes = options.pop("narrowing_passes", 0)
+        plan = prepare_plan(program, pre, domain, mode, telemetry=tel, **options)
+        result = run_plan(
+            plan,
+            narrowing_passes=narrowing_passes,
+            budget=resolved_budget,
+            on_budget=on_budget,
+            watchdog=watchdog,
             telemetry=tel,
-            heartbeat=True,
+            faults=injector,
+            checkpoint=checkpointer,
+            resume_from=resume_payload,
         )
-        if resume:
-            resume_payload = load_checkpoint(
-                checkpoint_path, expect_fingerprint=fingerprint
+        diagnostics = result.diagnostics
+        if resume_payload is not None:
+            diagnostics.events.append(
+                f"resumed from checkpoint at iteration {resume_payload['iterations']}"
             )
-    elif resume:
-        raise ValueError("resume=True requires checkpoint_path")
-
-    narrowing_passes = options.pop("narrowing_passes", 0)
-    plan = prepare_plan(program, pre, domain, mode, telemetry=tel, **options)
-    result = run_plan(
-        plan,
-        narrowing_passes=narrowing_passes,
-        budget=resolved_budget,
-        on_budget=on_budget,
-        watchdog=watchdog,
-        telemetry=tel,
-        faults=injector,
-        checkpoint=checkpointer,
-        resume_from=resume_payload,
-    )
-    diagnostics = result.diagnostics
-    if resume_payload is not None:
-        diagnostics.events.append(
-            f"resumed from checkpoint at iteration {resume_payload['iterations']}"
+        return AnalysisRun(
+            program,
+            pre,
+            domain,
+            mode,
+            result,
+            diagnostics,
+            telemetry=tel,
+            frontend_diagnostics=bag if bag is not None else DiagnosticBag(),
         )
-    return AnalysisRun(
-        program,
-        pre,
-        domain,
-        mode,
-        result,
-        diagnostics,
-        telemetry=tel,
-        frontend_diagnostics=bag if bag is not None else DiagnosticBag(),
-    )

@@ -87,40 +87,43 @@ def div_alarms(reports: list[DivReport]) -> list[DivReport]:
 
 def _divisions_of(node: Node) -> list[EBinOp]:
     out: list[EBinOp] = []
-
-    def walk_expr(e: Expr) -> None:
-        if isinstance(e, EBinOp):
-            if e.op in ("/", "%"):
-                out.append(e)
-            walk_expr(e.left)
-            walk_expr(e.right)
-        elif isinstance(e, EUnOp):
-            walk_expr(e.operand)
-        elif isinstance(e, ELval):
-            walk_lval(e.lval)
-        elif isinstance(e, EAddrOf):
-            walk_lval(e.lval)
-
-    def walk_lval(lv: Lval) -> None:
-        if isinstance(lv, DerefLv):
-            walk_expr(lv.ptr)
-        elif isinstance(lv, IndexLv):
-            walk_expr(lv.base)
-            walk_expr(lv.index)
-        elif isinstance(lv, FieldLv):
-            walk_lval(lv.base)
-
     cmd = node.cmd
     if isinstance(cmd, CSet):
-        walk_lval(cmd.lval)
-        walk_expr(cmd.expr)
+        _division_lval(cmd.lval, out)
+        _division_expr(cmd.expr, out)
     elif isinstance(cmd, CAlloc):
-        walk_expr(cmd.size)
+        _division_expr(cmd.size, out)
     elif isinstance(cmd, CAssume):
-        walk_expr(cmd.cond)
+        _division_expr(cmd.cond, out)
     elif isinstance(cmd, CCall):
         for a in cmd.args:
-            walk_expr(a)
+            _division_expr(a, out)
     elif isinstance(cmd, CReturn) and cmd.value is not None:
-        walk_expr(cmd.value)
+        _division_expr(cmd.value, out)
     return out
+
+
+# Module functions rather than closures over ``out``, which would make a
+# reference cycle per checked node (see ``overrun._access_expr``).
+def _division_expr(e: Expr, out: list[EBinOp]) -> None:
+    if isinstance(e, EBinOp):
+        if e.op in ("/", "%"):
+            out.append(e)
+        _division_expr(e.left, out)
+        _division_expr(e.right, out)
+    elif isinstance(e, EUnOp):
+        _division_expr(e.operand, out)
+    elif isinstance(e, ELval):
+        _division_lval(e.lval, out)
+    elif isinstance(e, EAddrOf):
+        _division_lval(e.lval, out)
+
+
+def _division_lval(lv: Lval, out: list[EBinOp]) -> None:
+    if isinstance(lv, DerefLv):
+        _division_expr(lv.ptr, out)
+    elif isinstance(lv, IndexLv):
+        _division_expr(lv.base, out)
+        _division_expr(lv.index, out)
+    elif isinstance(lv, FieldLv):
+        _division_lval(lv.base, out)

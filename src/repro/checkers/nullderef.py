@@ -88,39 +88,42 @@ def null_alarms(reports: list[NullReport]) -> list[NullReport]:
 
 def _derefs_of(node: Node) -> list[tuple[Expr, str]]:
     out: list[tuple[Expr, str]] = []
-
-    def walk_expr(e: Expr) -> None:
-        if isinstance(e, ELval):
-            walk_lval(e.lval)
-        elif isinstance(e, EAddrOf):
-            walk_lval(e.lval)
-        elif isinstance(e, EBinOp):
-            walk_expr(e.left)
-            walk_expr(e.right)
-        elif isinstance(e, EUnOp):
-            walk_expr(e.operand)
-
-    def walk_lval(lv: Lval) -> None:
-        if isinstance(lv, DerefLv):
-            out.append((lv.ptr, str(lv)))
-            walk_expr(lv.ptr)
-        elif isinstance(lv, IndexLv):
-            walk_expr(lv.base)
-            walk_expr(lv.index)
-        elif isinstance(lv, FieldLv):
-            walk_lval(lv.base)
-
     cmd = node.cmd
     if isinstance(cmd, CSet):
-        walk_lval(cmd.lval)
-        walk_expr(cmd.expr)
+        _deref_lval(cmd.lval, out)
+        _deref_expr(cmd.expr, out)
     elif isinstance(cmd, CAlloc):
-        walk_expr(cmd.size)
+        _deref_expr(cmd.size, out)
     elif isinstance(cmd, CAssume):
-        walk_expr(cmd.cond)
+        _deref_expr(cmd.cond, out)
     elif isinstance(cmd, CCall):
         for a in cmd.args:
-            walk_expr(a)
+            _deref_expr(a, out)
     elif isinstance(cmd, CReturn) and cmd.value is not None:
-        walk_expr(cmd.value)
+        _deref_expr(cmd.value, out)
     return out
+
+
+# Module functions rather than closures over ``out``, which would make a
+# reference cycle per checked node (see ``overrun._access_expr``).
+def _deref_expr(e: Expr, out: list[tuple[Expr, str]]) -> None:
+    if isinstance(e, ELval):
+        _deref_lval(e.lval, out)
+    elif isinstance(e, EAddrOf):
+        _deref_lval(e.lval, out)
+    elif isinstance(e, EBinOp):
+        _deref_expr(e.left, out)
+        _deref_expr(e.right, out)
+    elif isinstance(e, EUnOp):
+        _deref_expr(e.operand, out)
+
+
+def _deref_lval(lv: Lval, out: list[tuple[Expr, str]]) -> None:
+    if isinstance(lv, DerefLv):
+        out.append((lv.ptr, str(lv)))
+        _deref_expr(lv.ptr, out)
+    elif isinstance(lv, IndexLv):
+        _deref_expr(lv.base, out)
+        _deref_expr(lv.index, out)
+    elif isinstance(lv, FieldLv):
+        _deref_lval(lv.base, out)

@@ -162,41 +162,44 @@ def _accesses_of(node: Node) -> list[tuple[Expr, Expr | None, str]]:
     """Collect (base expression, index expression, printable form) for
     every array access the node's command performs."""
     out: list[tuple[Expr, Expr | None, str]] = []
-
-    def walk_expr(expr: Expr) -> None:
-        if isinstance(expr, ELval):
-            walk_lval(expr.lval)
-        elif isinstance(expr, EAddrOf):
-            walk_lval(expr.lval)
-        elif isinstance(expr, EBinOp):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, EUnOp):
-            walk_expr(expr.operand)
-
-    def walk_lval(lval: Lval) -> None:
-        if isinstance(lval, IndexLv):
-            walk_expr(lval.base)
-            walk_expr(lval.index)
-            out.append((lval.base, lval.index, str(lval)))
-        elif isinstance(lval, DerefLv):
-            walk_expr(lval.ptr)
-            # *(p + k) is an array access when p carries blocks.
-            out.append((lval.ptr, None, str(lval)))
-        elif isinstance(lval, FieldLv):
-            walk_lval(lval.base)
-
     cmd = node.cmd
     if isinstance(cmd, CSet):
-        walk_lval(cmd.lval)
-        walk_expr(cmd.expr)
+        _access_lval(cmd.lval, out)
+        _access_expr(cmd.expr, out)
     elif isinstance(cmd, CAlloc):
-        walk_expr(cmd.size)
+        _access_expr(cmd.size, out)
     elif isinstance(cmd, CAssume):
-        walk_expr(cmd.cond)
+        _access_expr(cmd.cond, out)
     elif isinstance(cmd, CCall):
         for arg in cmd.args:
-            walk_expr(arg)
+            _access_expr(arg, out)
     elif isinstance(cmd, CReturn) and cmd.value is not None:
-        walk_expr(cmd.value)
+        _access_expr(cmd.value, out)
     return out
+
+
+# The walkers are module functions, not closures over ``out``: a pair of
+# mutually recursive closures is a reference cycle per checked node.
+def _access_expr(expr: Expr, out: list) -> None:
+    if isinstance(expr, ELval):
+        _access_lval(expr.lval, out)
+    elif isinstance(expr, EAddrOf):
+        _access_lval(expr.lval, out)
+    elif isinstance(expr, EBinOp):
+        _access_expr(expr.left, out)
+        _access_expr(expr.right, out)
+    elif isinstance(expr, EUnOp):
+        _access_expr(expr.operand, out)
+
+
+def _access_lval(lval: Lval, out: list) -> None:
+    if isinstance(lval, IndexLv):
+        _access_expr(lval.base, out)
+        _access_expr(lval.index, out)
+        out.append((lval.base, lval.index, str(lval)))
+    elif isinstance(lval, DerefLv):
+        _access_expr(lval.ptr, out)
+        # *(p + k) is an array access when p carries blocks.
+        out.append((lval.ptr, None, str(lval)))
+    elif isinstance(lval, FieldLv):
+        _access_lval(lval.base, out)

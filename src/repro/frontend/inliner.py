@@ -48,130 +48,139 @@ def _count_stmts(stmt: A.Stmt) -> int:
     return total
 
 
+# The AST walkers below are module functions and methods, never recursive
+# closures: a closure that calls itself is a reference cycle, left for the
+# cyclic collector on every call.
+
+
 def _function_addresses_taken(unit: A.TranslationUnit) -> set[str]:
     """Functions referenced other than as a direct call target."""
     names = {f.name for f in unit.functions}
     taken: set[str] = set()
-
-    def walk_expr(e: A.Expr | None, call_target: bool = False) -> None:
-        if e is None:
-            return
-        if isinstance(e, A.Ident):
-            if e.name in names and not call_target:
-                taken.add(e.name)
-        elif isinstance(e, A.Call):
-            walk_expr(e.func, call_target=isinstance(e.func, A.Ident))
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, A.BinOp):
-            walk_expr(e.left)
-            walk_expr(e.right)
-        elif isinstance(e, (A.UnOp,)):
-            walk_expr(e.operand)
-        elif isinstance(e, A.IncDec):
-            walk_expr(e.operand)
-        elif isinstance(e, A.Assign):
-            walk_expr(e.target)
-            walk_expr(e.value)
-        elif isinstance(e, A.Conditional):
-            walk_expr(e.cond)
-            walk_expr(e.then)
-            walk_expr(e.otherwise)
-        elif isinstance(e, A.Index):
-            walk_expr(e.base)
-            walk_expr(e.index)
-        elif isinstance(e, A.FieldAccess):
-            walk_expr(e.base)
-        elif isinstance(e, A.Cast):
-            walk_expr(e.operand)
-        elif isinstance(e, A.CommaExpr):
-            for p in e.parts:
-                walk_expr(p)
-
-    def walk_stmt(s: A.Stmt | None) -> None:
-        if s is None:
-            return
-        if isinstance(s, A.Compound):
-            for child in s.body:
-                walk_stmt(child)
-        elif isinstance(s, A.ExprStmt):
-            walk_expr(s.expr)
-        elif isinstance(s, A.DeclStmt):
-            for d in s.decls:
-                walk_expr(d.init)
-        elif isinstance(s, A.If):
-            walk_expr(s.cond)
-            walk_stmt(s.then)
-            walk_stmt(s.otherwise)
-        elif isinstance(s, (A.While, A.DoWhile)):
-            walk_expr(s.cond)
-            walk_stmt(s.body)
-        elif isinstance(s, A.For):
-            walk_stmt(s.init)
-            walk_expr(s.cond)
-            walk_expr(s.step)
-            walk_stmt(s.body)
-        elif isinstance(s, A.Switch):
-            walk_expr(s.scrutinee)
-            for case in s.cases:
-                for child in case.body:
-                    walk_stmt(child)
-        elif isinstance(s, A.Return):
-            walk_expr(s.value)
-        elif isinstance(s, A.Labeled):
-            walk_stmt(s.stmt)
-
     for fn in unit.functions:
-        walk_stmt(fn.body)
+        _taken_in_stmt(fn.body, names, taken)
     for g in unit.globals:
-        walk_expr(g.init)
+        _taken_in_expr(g.init, names, taken)
     return taken
+
+
+def _taken_in_expr(
+    e: A.Expr | None, names: set[str], taken: set[str], call_target: bool = False
+) -> None:
+    if e is None:
+        return
+    if isinstance(e, A.Ident):
+        if e.name in names and not call_target:
+            taken.add(e.name)
+    elif isinstance(e, A.Call):
+        _taken_in_expr(e.func, names, taken, isinstance(e.func, A.Ident))
+        for a in e.args:
+            _taken_in_expr(a, names, taken)
+    elif isinstance(e, A.BinOp):
+        _taken_in_expr(e.left, names, taken)
+        _taken_in_expr(e.right, names, taken)
+    elif isinstance(e, (A.UnOp,)):
+        _taken_in_expr(e.operand, names, taken)
+    elif isinstance(e, A.IncDec):
+        _taken_in_expr(e.operand, names, taken)
+    elif isinstance(e, A.Assign):
+        _taken_in_expr(e.target, names, taken)
+        _taken_in_expr(e.value, names, taken)
+    elif isinstance(e, A.Conditional):
+        _taken_in_expr(e.cond, names, taken)
+        _taken_in_expr(e.then, names, taken)
+        _taken_in_expr(e.otherwise, names, taken)
+    elif isinstance(e, A.Index):
+        _taken_in_expr(e.base, names, taken)
+        _taken_in_expr(e.index, names, taken)
+    elif isinstance(e, A.FieldAccess):
+        _taken_in_expr(e.base, names, taken)
+    elif isinstance(e, A.Cast):
+        _taken_in_expr(e.operand, names, taken)
+    elif isinstance(e, A.CommaExpr):
+        for p in e.parts:
+            _taken_in_expr(p, names, taken)
+
+
+def _taken_in_stmt(s: A.Stmt | None, names: set[str], taken: set[str]) -> None:
+    if s is None:
+        return
+    if isinstance(s, A.Compound):
+        for child in s.body:
+            _taken_in_stmt(child, names, taken)
+    elif isinstance(s, A.ExprStmt):
+        _taken_in_expr(s.expr, names, taken)
+    elif isinstance(s, A.DeclStmt):
+        for d in s.decls:
+            _taken_in_expr(d.init, names, taken)
+    elif isinstance(s, A.If):
+        _taken_in_expr(s.cond, names, taken)
+        _taken_in_stmt(s.then, names, taken)
+        _taken_in_stmt(s.otherwise, names, taken)
+    elif isinstance(s, (A.While, A.DoWhile)):
+        _taken_in_expr(s.cond, names, taken)
+        _taken_in_stmt(s.body, names, taken)
+    elif isinstance(s, A.For):
+        _taken_in_stmt(s.init, names, taken)
+        _taken_in_expr(s.cond, names, taken)
+        _taken_in_expr(s.step, names, taken)
+        _taken_in_stmt(s.body, names, taken)
+    elif isinstance(s, A.Switch):
+        _taken_in_expr(s.scrutinee, names, taken)
+        for case in s.cases:
+            for child in case.body:
+                _taken_in_stmt(child, names, taken)
+    elif isinstance(s, A.Return):
+        _taken_in_expr(s.value, names, taken)
+    elif isinstance(s, A.Labeled):
+        _taken_in_stmt(s.stmt, names, taken)
 
 
 def _direct_call_graph(unit: A.TranslationUnit) -> dict[str, set[str]]:
     names = {f.name for f in unit.functions}
     graph: dict[str, set[str]] = {f.name: set() for f in unit.functions}
-
-    def collect(e: A.Expr | None, out: set[str]) -> None:
-        if e is None:
-            return
-        if isinstance(e, A.Call) and isinstance(e.func, A.Ident):
-            if e.func.name in names:
-                out.add(e.func.name)
-        for attr in ("left", "right", "operand", "target", "value", "cond",
-                     "then", "otherwise", "base", "index", "func"):
-            child = getattr(e, attr, None)
-            if isinstance(child, A.Expr):
-                collect(child, out)
-        for attr in ("args", "parts"):
-            for child in getattr(e, attr, []) or []:
-                collect(child, out)
-
-    def walk(s: A.Stmt | None, out: set[str]) -> None:
-        if s is None:
-            return
-        for attr in ("expr", "cond", "step", "scrutinee", "value"):
-            child = getattr(s, attr, None)
-            if isinstance(child, A.Expr):
-                collect(child, out)
-        for attr in ("then", "otherwise", "body", "stmt", "init"):
-            child = getattr(s, attr, None)
-            if isinstance(child, A.Stmt):
-                walk(child, out)
-        if isinstance(s, A.Compound):
-            for child in s.body:
-                walk(child, out)
-        if isinstance(s, A.Switch):
-            for case in s.cases:
-                for child in case.body:
-                    walk(child, out)
-        if isinstance(s, A.DeclStmt):
-            for d in s.decls:
-                collect(d.init, out)
-
     for fn in unit.functions:
-        walk(fn.body, graph[fn.name])
+        _calls_in_stmt(fn.body, names, graph[fn.name])
     return graph
+
+
+def _calls_in_expr(e: A.Expr | None, names: set[str], out: set[str]) -> None:
+    if e is None:
+        return
+    if isinstance(e, A.Call) and isinstance(e.func, A.Ident):
+        if e.func.name in names:
+            out.add(e.func.name)
+    for attr in ("left", "right", "operand", "target", "value", "cond",
+                 "then", "otherwise", "base", "index", "func"):
+        child = getattr(e, attr, None)
+        if isinstance(child, A.Expr):
+            _calls_in_expr(child, names, out)
+    for attr in ("args", "parts"):
+        for child in getattr(e, attr, []) or []:
+            _calls_in_expr(child, names, out)
+
+
+def _calls_in_stmt(s: A.Stmt | None, names: set[str], out: set[str]) -> None:
+    if s is None:
+        return
+    for attr in ("expr", "cond", "step", "scrutinee", "value"):
+        child = getattr(s, attr, None)
+        if isinstance(child, A.Expr):
+            _calls_in_expr(child, names, out)
+    for attr in ("then", "otherwise", "body", "stmt", "init"):
+        child = getattr(s, attr, None)
+        if isinstance(child, A.Stmt):
+            _calls_in_stmt(child, names, out)
+    if isinstance(s, A.Compound):
+        for child in s.body:
+            _calls_in_stmt(child, names, out)
+    if isinstance(s, A.Switch):
+        for case in s.cases:
+            for child in case.body:
+                _calls_in_stmt(child, names, out)
+    if isinstance(s, A.DeclStmt):
+        for d in s.decls:
+            _calls_in_expr(d.init, names, out)
 
 
 def _recursive_functions(call_graph: dict[str, set[str]]) -> set[str]:
@@ -239,32 +248,7 @@ class Inliner:
         prefix: list[A.Stmt] = []
 
         def lift_calls(e: A.Expr | None) -> A.Expr | None:
-            """Replace inlinable calls inside ``e`` with result variables,
-            emitting the inlined bodies into ``prefix``."""
-            if e is None:
-                return None
-            if (
-                isinstance(e, A.Call)
-                and isinstance(e.func, A.Ident)
-                and e.func.name in candidates
-                and e.func.name != current
-            ):
-                args = [lift_calls(a) for a in e.args]
-                result = self._expand_call(
-                    candidates[e.func.name], args, prefix, e.pos
-                )
-                self.inlined_calls += 1
-                return result
-            for attr in ("left", "right", "operand", "target", "value",
-                         "cond", "then", "otherwise", "base", "index"):
-                child = getattr(e, attr, None)
-                if isinstance(child, A.Expr):
-                    setattr(e, attr, lift_calls(child))
-            if isinstance(e, A.Call):
-                e.args = [lift_calls(a) for a in e.args]
-            if isinstance(e, A.CommaExpr):
-                e.parts = [lift_calls(p) for p in e.parts]
-            return e
+            return self._lift_calls(e, candidates, current, prefix)
 
         if isinstance(stmt, A.ExprStmt):
             stmt.expr = lift_calls(stmt.expr)
@@ -306,6 +290,33 @@ class Inliner:
         elif isinstance(stmt, A.Labeled):
             stmt.stmt = self._inline_in_stmt(stmt.stmt, candidates, current)
         return prefix + [stmt]
+
+    def _lift_calls(self, e, candidates, current, prefix) -> A.Expr | None:
+        """Replace inlinable calls inside ``e`` with result variables,
+        emitting the inlined bodies into ``prefix``."""
+        if e is None:
+            return None
+        rest = (candidates, current, prefix)
+        if (
+            isinstance(e, A.Call)
+            and isinstance(e.func, A.Ident)
+            and e.func.name in candidates
+            and e.func.name != current
+        ):
+            args = [self._lift_calls(a, *rest) for a in e.args]
+            result = self._expand_call(candidates[e.func.name], args, prefix, e.pos)
+            self.inlined_calls += 1
+            return result
+        for attr in ("left", "right", "operand", "target", "value",
+                     "cond", "then", "otherwise", "base", "index"):
+            child = getattr(e, attr, None)
+            if isinstance(child, A.Expr):
+                setattr(e, attr, self._lift_calls(child, *rest))
+        if isinstance(e, A.Call):
+            e.args = [self._lift_calls(a, *rest) for a in e.args]
+        if isinstance(e, A.CommaExpr):
+            e.parts = [self._lift_calls(p, *rest) for p in e.parts]
+        return e
 
     # -- call expansion ---------------------------------------------------------------
 
@@ -350,113 +361,112 @@ class Inliner:
     def _rename_and_redirect(self, stmt, rename, ret_var, out_label) -> None:
         """In the body copy: rename parameters/locals, and turn returns
         into ``ret_var = e; goto out``."""
-
-        def rn_expr(e):
-            if e is None:
-                return None
-            if isinstance(e, A.Ident):
-                if e.name in rename:
-                    e.name = rename[e.name]
-                return e
-            for attr in ("left", "right", "operand", "target", "value",
-                         "cond", "then", "otherwise", "base", "index",
-                         "func"):
-                child = getattr(e, attr, None)
-                if isinstance(child, A.Expr):
-                    setattr(e, attr, rn_expr(child))
-            for attr in ("args", "parts"):
-                children = getattr(e, attr, None)
-                if children:
-                    setattr(e, attr, [rn_expr(c) for c in children])
-            return e
-
-        def rn_stmt(s):
-            if isinstance(s, A.Compound):
-                new_body = []
-                for child in s.body:
-                    new_body.extend(as_list(child))
-                s.body = new_body
-                return s
-            return s
-
-        def as_list(s) -> list:
-            if isinstance(s, A.Return):
-                assigns: list[A.Stmt] = []
-                if s.value is not None:
-                    assigns.append(
-                        A.ExprStmt(
-                            A.Assign(
-                                "=",
-                                A.Ident(ret_var, pos=s.pos),
-                                rn_expr(s.value),
-                                pos=s.pos,
-                            ),
-                            pos=s.pos,
-                        )
-                    )
-                assigns.append(A.Goto(out_label, pos=s.pos))
-                return assigns
-            if isinstance(s, A.DeclStmt):
-                for d in s.decls:
-                    # locals of the copy get fresh names too
-                    fresh = f"{ret_var}_{d.name}"
-                    rename[d.name] = fresh
-                    d.name = fresh
-                    d.init = rn_expr(d.init)
-                return [s]
-            if isinstance(s, A.ExprStmt):
-                s.expr = rn_expr(s.expr)
-                return [s]
-            if isinstance(s, A.If):
-                s.cond = rn_expr(s.cond)
-                s.then = wrap(s.then)
-                if s.otherwise is not None:
-                    s.otherwise = wrap(s.otherwise)
-                return [s]
-            if isinstance(s, (A.While, A.DoWhile)):
-                s.cond = rn_expr(s.cond)
-                s.body = wrap(s.body)
-                return [s]
-            if isinstance(s, A.For):
-                if s.init is not None:
-                    s.init = wrap_one(s.init)
-                s.cond = rn_expr(s.cond)
-                s.step = rn_expr(s.step)
-                s.body = wrap(s.body)
-                return [s]
-            if isinstance(s, A.Switch):
-                s.scrutinee = rn_expr(s.scrutinee)
-                for case in s.cases:
-                    new_body = []
-                    for child in case.body:
-                        new_body.extend(as_list(child))
-                    case.body = new_body
-                return [s]
-            if isinstance(s, A.Compound):
-                new_body = []
-                for child in s.body:
-                    new_body.extend(as_list(child))
-                s.body = new_body
-                return [s]
-            if isinstance(s, A.Labeled):
-                s.stmt = wrap_one(s.stmt)
-                return [s]
-            return [s]
-
-        def wrap(s):
-            parts = as_list(s)
-            if len(parts) == 1:
-                return parts[0]
-            return A.Compound(parts, pos=s.pos)
-
-        def wrap_one(s):
-            return wrap(s)
-
         if isinstance(stmt, A.Compound):
-            new_body = []
-            for child in stmt.body:
-                new_body.extend(as_list(child))
-            stmt.body = new_body
+            _Redirect(rename, ret_var, out_label).compound(stmt)
+
+
+@dataclass
+class _Redirect:
+    """One inlined body's rewrite: ``rename`` maps parameters and locals to
+    their fresh names (locals are added as their declarations are met), and
+    every return becomes an assignment to ``ret_var`` and a jump to
+    ``out_label``."""
+
+    rename: dict[str, str]
+    ret_var: str
+    out_label: str
+
+    def expr(self, e):
+        if e is None:
+            return None
+        if isinstance(e, A.Ident):
+            if e.name in self.rename:
+                e.name = self.rename[e.name]
+            return e
+        for attr in ("left", "right", "operand", "target", "value",
+                     "cond", "then", "otherwise", "base", "index",
+                     "func"):
+            child = getattr(e, attr, None)
+            if isinstance(child, A.Expr):
+                setattr(e, attr, self.expr(child))
+        for attr in ("args", "parts"):
+            children = getattr(e, attr, None)
+            if children:
+                setattr(e, attr, [self.expr(c) for c in children])
+        return e
+
+    def compound(self, s: A.Compound) -> None:
+        new_body = []
+        for child in s.body:
+            new_body.extend(self.as_list(child))
+        s.body = new_body
+
+    def as_list(self, s) -> list:
+        if isinstance(s, A.Return):
+            assigns: list[A.Stmt] = []
+            if s.value is not None:
+                assigns.append(
+                    A.ExprStmt(
+                        A.Assign(
+                            "=",
+                            A.Ident(self.ret_var, pos=s.pos),
+                            self.expr(s.value),
+                            pos=s.pos,
+                        ),
+                        pos=s.pos,
+                    )
+                )
+            assigns.append(A.Goto(self.out_label, pos=s.pos))
+            return assigns
+        if isinstance(s, A.DeclStmt):
+            for d in s.decls:
+                # locals of the copy get fresh names too
+                fresh = f"{self.ret_var}_{d.name}"
+                self.rename[d.name] = fresh
+                d.name = fresh
+                d.init = self.expr(d.init)
+            return [s]
+        if isinstance(s, A.ExprStmt):
+            s.expr = self.expr(s.expr)
+            return [s]
+        if isinstance(s, A.If):
+            s.cond = self.expr(s.cond)
+            s.then = self.wrap(s.then)
+            if s.otherwise is not None:
+                s.otherwise = self.wrap(s.otherwise)
+            return [s]
+        if isinstance(s, (A.While, A.DoWhile)):
+            s.cond = self.expr(s.cond)
+            s.body = self.wrap(s.body)
+            return [s]
+        if isinstance(s, A.For):
+            if s.init is not None:
+                s.init = self.wrap(s.init)
+            s.cond = self.expr(s.cond)
+            s.step = self.expr(s.step)
+            s.body = self.wrap(s.body)
+            return [s]
+        if isinstance(s, A.Switch):
+            s.scrutinee = self.expr(s.scrutinee)
+            for case in s.cases:
+                new_body = []
+                for child in case.body:
+                    new_body.extend(self.as_list(child))
+                case.body = new_body
+            return [s]
+        if isinstance(s, A.Compound):
+            self.compound(s)
+            return [s]
+        if isinstance(s, A.Labeled):
+            s.stmt = self.wrap(s.stmt)
+            return [s]
+        return [s]
+
+    def wrap(self, s):
+        parts = self.as_list(s)
+        if len(parts) == 1:
+            return parts[0]
+        return A.Compound(parts, pos=s.pos)
 
 
 def inline_unit(

@@ -21,7 +21,9 @@ failure-tolerant:
 * :mod:`repro.runtime.atomicio` — crash-safe file writes shared by
   checkpoints, telemetry exporters, and reports;
 * :mod:`repro.runtime.interrupt` — SIGINT/SIGTERM → exception bridging
-  for graceful shutdown.
+  for graceful shutdown;
+* :mod:`repro.runtime.collector` — the cyclic garbage collector's pause
+  around ``analyze()`` and serve requests, and its telemetry counters.
 """
 
 from repro.runtime.atomicio import (

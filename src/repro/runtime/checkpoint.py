@@ -48,7 +48,7 @@ from repro.domains.interval import Interval
 from repro.domains.state import AbsState
 from repro.domains.value import AbsValue, ArrayBlock, intern_value
 from repro.runtime.atomicio import atomic_write_bytes
-from repro.runtime.errors import CheckpointError
+from repro.runtime.errors import CheckpointError, CheckpointVersionError
 from repro.telemetry.core import Telemetry
 
 #: bump whenever the payload layout or any wire codec changes shape
@@ -275,7 +275,7 @@ def load_checkpoint(
         raise CheckpointError(f"{path} is not a repro checkpoint (bad magic)")
     version = header.get("version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
+        raise CheckpointVersionError(
             f"checkpoint {path} has format version {version!r}, "
             f"this build reads version {CHECKPOINT_VERSION}"
         )

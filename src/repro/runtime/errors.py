@@ -72,6 +72,12 @@ class CheckpointError(ReproError):
     a poisoned snapshot is never partially applied."""
 
 
+class CheckpointVersionError(CheckpointError):
+    """A well-formed checkpoint in a format version this build does not
+    read. Unlike corruption, the file may still be good for the build that
+    wrote it, so a caller that owns durable data in it must not erase it."""
+
+
 class AnalysisInterrupted(ReproError):
     """The process received SIGINT/SIGTERM while an engine was running.
 

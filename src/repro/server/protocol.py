@@ -25,6 +25,7 @@ import json
 import socket as socketlib
 from typing import Any, Callable, Iterable
 
+from repro.runtime.collector import collector_paused
 from repro.runtime.errors import AnalysisInterrupted, ReproError
 
 #: Default per-request size ceiling. A line longer than this is rejected
@@ -227,14 +228,21 @@ def serve_lines(
     """Drive a session over an iterable of request lines, emitting one
     response line per request through ``write`` (see
     :func:`handle_request`) until ``shutdown`` or the end of ``lines``.
-    Returns the number of requests handled."""
+    Returns the number of requests handled.
+
+    The cyclic collector is paused while a request is handled and its
+    reply written, so the young collection it defers runs while the client
+    reads the answer."""
     handled = 0
     for raw in lines:
         line = raw.strip()
         if not line:
             continue
         handled += 1
-        write(handle_request(session, line, max_request_bytes=max_request_bytes))
+        with collector_paused():
+            write(
+                handle_request(session, line, max_request_bytes=max_request_bytes)
+            )
         if session.shutdown_requested:
             break
     return handled

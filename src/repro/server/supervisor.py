@@ -62,7 +62,8 @@ from dataclasses import dataclass, field
 
 from repro.runtime.backoff import BackoffPolicy
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
-from repro.runtime.errors import CheckpointError, ReproError
+from repro.runtime.collector import collector_paused
+from repro.runtime.errors import CheckpointError, CheckpointVersionError, ReproError
 from repro.runtime.faults import FaultPlan, corrupt_file_tail
 from repro.telemetry.core import Telemetry
 
@@ -119,12 +120,19 @@ def _touch(path: str) -> None:
 def _load_durable_source(state_dir: str) -> tuple[str | None, int]:
     """The last durably-recorded (edited) source text and generation, or
     ``(None, 0)`` when there is none / it fails validation (fail closed:
-    fall back to the original program text)."""
+    fall back to the original program text). A file in another format
+    version holds acknowledged edits this build cannot read: it is kept,
+    and a one-line :class:`ReproError` refuses the start."""
     path = os.path.join(state_dir, SOURCE_CKPT)
     if not os.path.exists(path):
         return None, 0
     try:
         payload = load_checkpoint(path)
+    except CheckpointVersionError as exc:
+        raise ReproError(
+            f"refusing to start: {exc}; it holds acknowledged edits, "
+            f"so it was kept"
+        ) from exc
     except CheckpointError:
         try:
             os.unlink(path)
@@ -252,14 +260,17 @@ def _worker_main(
         n_requests += 1
         if injector is not None:
             injector.before_request(n_requests)
-        resp_conn.send(
-            handle_request(
-                session,
-                line,
-                max_request_bytes=max_request_bytes,
-                on_edit=on_edit,
+        # as in protocol.serve_lines: the collector's deferred young
+        # collection runs after the reply is on its way
+        with collector_paused():
+            resp_conn.send(
+                handle_request(
+                    session,
+                    line,
+                    max_request_bytes=max_request_bytes,
+                    on_edit=on_edit,
+                )
             )
-        )
         if session.shutdown_requested:
             break
         if snapshot_every and n_requests % snapshot_every == 0:
@@ -490,7 +501,9 @@ class Supervisor:
 
     def start(self) -> dict:
         """Spawn the first worker; raises :class:`ReproError` when it
-        cannot come up at all."""
+        cannot come up at all, or when the state directory's durable
+        source is in a format version this build does not read."""
+        _load_durable_source(self.state_dir)  # raises before any spawn
         if not self._ensure_worker():
             raise ReproError(
                 f"serve worker failed to start after "

@@ -117,6 +117,11 @@ _PHASE_DETAILS = {
         "sched.pops",
         "sched.revisits",
         "fixpoint.reachable_nodes",
+        # run-wide, listed here so that --metrics shows them: the cyclic
+        # collector's work over the whole analyze() call, which pauses it
+        # (repro.runtime.collector), so 0 unless something forced a run
+        "gc.collections",
+        "gc.seconds",
     ),
     "narrowing": ("narrowing.iterations",),
     "checkers": ("checkers.reports",),
@@ -175,7 +180,7 @@ class PhaseReport:
         ]
         for r in self.rows:
             detail = "  ".join(
-                f"{k.split('.', 1)[-1]}={_fmt(v)}" for k, v in r.details.items()
+                f"{_short(k)}={_fmt(v)}" for k, v in r.details.items()
             )
             lines.append(
                 f"{r.phase:<14}{r.wall:>10.3f}{r.cpu:>10.3f}{r.count:>7}  {detail}"
@@ -186,6 +191,12 @@ class PhaseReport:
         if peak is not None:
             lines.append(f"peak memory   {peak / 1e6:>10.2f} MB (tracemalloc)")
         return "\n".join(lines)
+
+
+def _short(key: str) -> str:
+    """A detail's name in the text report: without its namespace, except
+    the run-wide ``gc.*`` counters, which describe no single phase."""
+    return key if key.startswith("gc.") else key.split(".", 1)[-1]
 
 
 def _fmt(value) -> str:

@@ -210,11 +210,16 @@ class TestCompiledCodeLifetime:
     SOURCE = generate_source(upto(default_suite(), "bc-mini")[-1])
 
     def test_analysis_run_releases_its_program(self):
-        run = analyze(self.SOURCE, domain="interval", mode="sparse")
-        program = weakref.ref(run.program)
-        del run
-        gc.collect()
-        assert program() is None
+        """Reference counting frees the run's program the moment the run
+        is dropped; the cyclic collector is off the whole time."""
+        gc.disable()
+        try:
+            run = analyze(self.SOURCE, domain="interval", mode="sparse")
+            program = weakref.ref(run.program)
+            del run
+            assert program() is None
+        finally:
+            gc.enable()
 
     def test_context_is_freed_without_the_cycle_collector(self):
         """No compiled closure refers back to its context, so dropping the
@@ -234,18 +239,22 @@ class TestCompiledCodeLifetime:
             gc.enable()
 
     def test_serve_session_holds_one_program_across_edits(self):
-        gc.collect()
-        before = [obj for obj in gc.get_objects() if isinstance(obj, Program)]
-        session = ServeSession(self.SOURCE)
-        session.query_interval("f0", "v0")
-        for i in range(20):
-            function = f"f{i % 10}"
-            session.edit(function=function, body=f"  return p0 + {i};")
-            assert session.query_interval(function, "p0").solve is not None
-        gc.collect()
-        live = [
-            obj
-            for obj in gc.get_objects()
-            if isinstance(obj, Program) and not any(obj is old for old in before)
-        ]
-        assert len(live) == 1 and live[0] is session.program
+        """Each edit's replaced program is freed by reference counting,
+        with the cyclic collector off for the whole session."""
+        gc.disable()
+        try:
+            before = [obj for obj in gc.get_objects() if isinstance(obj, Program)]
+            session = ServeSession(self.SOURCE)
+            session.query_interval("f0", "v0")
+            for i in range(20):
+                function = f"f{i % 10}"
+                session.edit(function=function, body=f"  return p0 + {i};")
+                assert session.query_interval(function, "p0").solve is not None
+            live = [
+                obj
+                for obj in gc.get_objects()
+                if isinstance(obj, Program) and not any(obj is old for old in before)
+            ]
+            assert len(live) == 1 and live[0] is session.program
+        finally:
+            gc.enable()

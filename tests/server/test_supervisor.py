@@ -6,6 +6,7 @@ control — all seeded and in-process (the CLI-level signal tests live in
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import threading
@@ -14,9 +15,12 @@ import time
 import pytest
 
 from repro.api import analyze
+from repro.runtime.checkpoint import CHECKPOINT_VERSION, encode_checkpoint
+from repro.runtime.errors import ReproError
 from repro.runtime.faults import FaultPlan
 from repro.server.session import ServeSession
 from repro.server.supervisor import (
+    SOURCE_CKPT,
     BackoffPolicy,
     Supervisor,
     SupervisorConfig,
@@ -219,6 +223,89 @@ class TestSnapshotRestore:
             assert after["generation"] == 1  # not rolled back to 0
             want = analyze(edited).interval_at_exit("main", "g")
             assert after["interval"]["repr"] == str(want)
+        finally:
+            sup.stop()
+
+
+def _durable_source_file(state_dir, source: str, generation: int, version: int):
+    """Write ``serve-source.ckpt`` as the build reading ``version`` would."""
+    body = json.dumps(
+        {"kind": "serve-source", "source": source, "generation": generation},
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode()
+    header = json.loads(encode_checkpoint({}).split(b"\n", 1)[0])
+    header.update(
+        version=version, length=len(body), sha256=hashlib.sha256(body).hexdigest()
+    )
+    path = state_dir / SOURCE_CKPT
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    return path
+
+
+class TestDurableSource:
+    """``serve-source.ckpt`` holds acknowledged edits: a file from another
+    format version refuses the start and is kept, a corrupt one falls back
+    to the original text."""
+
+    EDITED = SRC.replace("a + 1", "a + 2")
+
+    def test_other_format_version_is_kept_and_refuses_the_start(self, tmp_path):
+        path = _durable_source_file(tmp_path, self.EDITED, 3, CHECKPOINT_VERSION - 1)
+        data = path.read_bytes()
+        sup = Supervisor(SRC, "prog.c", state_dir=str(tmp_path))
+        try:
+            with pytest.raises(ReproError) as exc:
+                sup.start()
+        finally:
+            sup.stop()
+        message = str(exc.value)
+        assert "\n" not in message
+        assert str(path) in message
+        assert f"format version {CHECKPOINT_VERSION - 1}" in message
+        assert f"reads version {CHECKPOINT_VERSION}" in message
+        assert path.read_bytes() == data
+
+    def test_cli_exits_2_on_another_format_version(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        source = tmp_path / "prog.c"
+        source.write_text(SRC)
+        state = tmp_path / "state"
+        state.mkdir()
+        path = _durable_source_file(state, self.EDITED, 3, CHECKPOINT_VERSION + 1)
+        argv = ["serve", str(source), "--supervised", "--state-dir", str(state)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and str(path) in err
+        assert path.exists()
+
+    def test_corrupt_file_falls_back_to_the_original_text(
+        self, tmp_path, expected_g
+    ):
+        path = _durable_source_file(tmp_path, self.EDITED, 3, CHECKPOINT_VERSION)
+        path.write_bytes(path.read_bytes()[:-5])
+        sup = Supervisor(SRC, "prog.c", state_dir=str(tmp_path))
+        try:
+            info = sup.start()
+            assert info["recovered_source"] is False
+            assert info["generation"] == 0
+            answer = sup.ask({**QUERY, "id": 1})
+            assert answer["interval"]["repr"] == expected_g
+        finally:
+            sup.stop()
+        assert not path.exists()
+
+    def test_current_version_restores_the_edits(self, tmp_path):
+        _durable_source_file(tmp_path, self.EDITED, 3, CHECKPOINT_VERSION)
+        sup = Supervisor(SRC, "prog.c", state_dir=str(tmp_path))
+        try:
+            info = sup.start()
+            assert info["recovered_source"] is True
+            assert info["generation"] == 3
+            answer = sup.ask({**QUERY, "id": 1})
+            want = analyze(self.EDITED).interval_at_exit("main", "g")
+            assert answer["interval"]["repr"] == str(want)
         finally:
             sup.stop()
 
